@@ -28,7 +28,8 @@ int main() {
               "algorithm", "purity", "rand", "ari", "ms");
   for (FeatureKind kind : AllFeatureKinds()) {
     std::vector<std::vector<double>> points;
-    const SimilaritySpace& space = snapshot.engine().Space(kind);
+    const SimilaritySpace& space =
+        snapshot.engine().SpaceAt(static_cast<int>(kind));
     for (const ShapeRecord& rec : system.db().records()) {
       points.push_back(space.Standardize(rec.signature.Get(kind).values));
     }

@@ -74,11 +74,11 @@ int main(int argc, char** argv) {
   std::printf("%-11s %-11s %-10s %-10s\n", "threshold", "retrieved",
               "precision", "recall");
   for (double threshold : {0.85, 0.90, 0.93, 0.95, 0.97, 0.99}) {
-    auto results = snapshot.engine().QueryByIdThreshold(
-        q, FeatureKind::kMomentInvariants, threshold);
-    if (!results.ok()) continue;
+    auto response = snapshot.engine().QueryById(
+        q, QueryRequest::Threshold(FeatureKind::kMomentInvariants, threshold));
+    if (!response.ok()) continue;
     std::vector<int> ids;
-    for (const SearchResult& r : *results) ids.push_back(r.id);
+    for (const SearchResult& r : response->results) ids.push_back(r.id);
     const PrPoint p = ComputePrecisionRecall(ids, relevant);
     std::printf("%-11.2f %-11d %-10.2f %-10.2f\n", threshold, p.retrieved,
                 p.precision, p.recall);

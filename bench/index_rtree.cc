@@ -201,8 +201,10 @@ void RealDatabaseReport() {
     int queries = 0;
     for (const ShapeRecord& rec : system.db().records()) {
       auto r =
-          snapshot.engine().QueryByIdTopK(rec.id, kind, 10, true, &stats);
-      if (r.ok()) ++queries;
+          snapshot.engine().QueryById(rec.id, QueryRequest::TopK(kind, 10));
+      if (!r.ok()) continue;
+      stats.MergeFrom(r->stats);
+      ++queries;
     }
     std::printf("%-22s %-16.1f %-22.1f %-14.1f\n",
                 FeatureKindName(kind).c_str(),

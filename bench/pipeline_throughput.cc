@@ -583,7 +583,7 @@ struct AnnFixture {
   std::unique_ptr<SearchEngine> exact;
   std::unique_ptr<SearchEngine> ann;
   AnnRecallReport recall;
-  std::vector<double> query;
+  ShapeSignature query;
 };
 
 constexpr int kAnnSpace = kNumFeatureKinds;  // the 32-dim synthetic space
@@ -611,9 +611,7 @@ const AnnFixture& AnnDb(size_t n) {
   auto records =
       MakeSignatureCorpus(corpus, testing_util::MakeSyntheticRegistry(
                                       exact_extra));
-  f->query = records.value()[records.value().size() / 2]
-                 .signature.At(kAnnSpace)
-                 .values;
+  f->query = records.value()[records.value().size() / 2].signature;
   f->db = std::make_shared<ShapeDatabase>();
   for (ShapeRecord& rec : records.value()) f->db->Insert(std::move(rec));
   SearchEngineOptions exact_opt;
@@ -648,8 +646,10 @@ void BM_AnnScan(benchmark::State& state) {
   const AnnFixture& fx = AnnDb(n);
   const SearchEngine& engine = use_ann ? *fx.ann : *fx.exact;
   state.SetLabel(use_ann ? "hnsw" : "linear_scan");
+  const QueryRequest request =
+      QueryRequest::TopK(engine.registry().id(kAnnSpace), 10);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.QueryTopK(fx.query, kAnnSpace, 10));
+    benchmark::DoNotOptimize(engine.Query(fx.query, request));
   }
   if (use_ann) {
     state.counters["recall_at_1"] = fx.recall.At(1);

@@ -7,7 +7,7 @@
 #include "bench/bench_common.h"
 #include "src/eval/experiments.h"
 #include "src/search/combined.h"
-#include "src/search/multistep.h"
+#include "src/search/search_engine.h"
 
 namespace {
 
@@ -26,7 +26,7 @@ void BM_TopKQuery(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     const int q = Queries()[i++ % Queries().size()];
-    auto r = Engine().QueryByIdTopK(q, kind, 10);
+    auto r = Engine().QueryById(q, QueryRequest::TopK(kind, 10));
     if (!r.ok()) {
       state.SkipWithError("query failed");
       return;
@@ -41,8 +41,8 @@ void BM_ThresholdQuery(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     const int q = Queries()[i++ % Queries().size()];
-    auto r = Engine().QueryByIdThreshold(
-        q, FeatureKind::kPrincipalMoments, 0.9);
+    auto r = Engine().QueryById(
+        q, QueryRequest::Threshold(FeatureKind::kPrincipalMoments, 0.9));
     if (!r.ok()) {
       state.SkipWithError("query failed");
       return;
@@ -53,11 +53,12 @@ void BM_ThresholdQuery(benchmark::State& state) {
 BENCHMARK(BM_ThresholdQuery);
 
 void BM_MultiStepQuery(benchmark::State& state) {
-  const MultiStepPlan plan = MultiStepPlan::Standard(30, 10);
+  const QueryRequest request =
+      QueryRequest::MultiStep(MultiStepPlan::Standard(30, 10));
   size_t i = 0;
   for (auto _ : state) {
     const int q = Queries()[i++ % Queries().size()];
-    auto r = MultiStepQueryById(Engine(), q, plan);
+    auto r = Engine().QueryById(q, request);
     if (!r.ok()) {
       state.SkipWithError("query failed");
       return;

@@ -67,7 +67,8 @@ int main() {
   std::vector<std::vector<double>> points;
   std::vector<int> truth;
   const SimilaritySpace& space =
-      (*snapshot)->engine().Space(FeatureKind::kPrincipalMoments);
+      (*snapshot)->engine().SpaceAt(
+          static_cast<int>(FeatureKind::kPrincipalMoments));
   for (const ShapeRecord& rec : system.db().records()) {
     points.push_back(space.Standardize(
         rec.signature.Get(FeatureKind::kPrincipalMoments).values));

@@ -8,7 +8,7 @@
 #include "src/core/system.h"
 #include "src/eval/precision_recall.h"
 #include "src/modelgen/dataset.h"
-#include "src/search/multistep.h"
+#include "src/search/search_engine.h"
 
 int main() {
   using namespace dess;

@@ -73,15 +73,15 @@ int main() {
       return std::make_pair(fb, recall);
     };
 
-    auto results = engine.QueryTopK(query, kind, k + 1);
-    if (!results.ok()) continue;
-    auto [fb, r0] = round(0, *results);
+    auto first = engine.Query(rec.signature, QueryRequest::TopK(kind, k + 1));
+    if (!first.ok()) continue;
+    auto [fb, r0] = round(0, first->results);
 
     // Two feedback rounds.
     double last_recall = r0;
     for (int iter = 0; iter < 2; ++iter) {
-      auto next = FeedbackRound(engine, kind, &query, &session_weights, fb,
-                                k + 1);
+      auto next = FeedbackRound(engine, static_cast<int>(kind), &query,
+                                &session_weights, fb, k + 1);
       if (!next.ok()) break;
       auto [fb2, r] = round(iter + 1, *next);
       fb = fb2;

@@ -54,6 +54,14 @@ ctest --preset ci -L incr -j "$JOBS"
 echo "==> [ann] index-backend registry + HNSW suite (ctest -L ann)"
 ctest --preset ci -L ann -j "$JOBS"
 
+# End-to-end benchmark harness: bench/e2e is its own CMake project that
+# compiles against the engine API, and the tier-1 build never builds it,
+# so an API change that breaks the harness fails here. Every workload runs
+# once with --smoke (all answer checks on) and once with --perturb-check
+# (a corrupted reference answer must make the run fail).
+echo "==> [bench-e2e] benchmark harness build + smoke (bench/e2e/selftest.py)"
+python3 bench/e2e/selftest.py
+
 # Advisory perf comparison against the checked-in seed report: prints a
 # per-benchmark delta table and flags >20% median regressions (plus the
 # within-run commit-speedup and hnsw-recall gates). Wall-clock numbers

@@ -15,7 +15,6 @@
 #include "src/db/shape_database.h"
 #include "src/features/extractors.h"
 #include "src/modelgen/dataset.h"
-#include "src/search/multistep.h"
 #include "src/search/search_engine.h"
 
 namespace dess {

@@ -29,14 +29,17 @@ Result<AnnRecallReport> EvaluateAnnRecall(const SearchEngine& exact,
   report.cutoffs = cutoffs;
   report.recall.assign(cutoffs.size(), 0.0);
   const size_t step = std::max<size_t>(1, stride);
+  const QueryRequest request =
+      QueryRequest::TopK(exact.registry().id(ordinal), kmax);
   size_t row = 0;
   for (const ShapeRecord& rec : exact.db().records()) {
     if (row++ % step != 0) continue;
-    const std::vector<double>& qf = rec.signature.At(ordinal).values;
-    DESS_ASSIGN_OR_RETURN(const std::vector<SearchResult> truth,
-                          exact.QueryTopK(qf, ordinal, kmax));
-    DESS_ASSIGN_OR_RETURN(const std::vector<SearchResult> got,
-                          approx.QueryTopK(qf, ordinal, kmax));
+    DESS_ASSIGN_OR_RETURN(const QueryResponse exact_response,
+                          exact.Query(rec.signature, request));
+    DESS_ASSIGN_OR_RETURN(const QueryResponse approx_response,
+                          approx.Query(rec.signature, request));
+    const std::vector<SearchResult>& truth = exact_response.results;
+    const std::vector<SearchResult>& got = approx_response.results;
     for (size_t c = 0; c < cutoffs.size(); ++c) {
       const size_t k = std::min(cutoffs[c], truth.size());
       if (k == 0) continue;

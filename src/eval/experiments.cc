@@ -83,18 +83,21 @@ Result<std::vector<EffectivenessRow>> RunAverageEffectiveness(
   // One-shot rows, one per feature space the engine serves (the canonical
   // four plus any registered ones).
   for (int ordinal = 0; ordinal < engine.NumSpaces(); ++ordinal) {
+    const std::string& space = engine.registry().id(ordinal);
     EffectivenessRow row;
-    row.method = engine.registry().id(ordinal) + " (one-shot)";
+    row.method = space + " (one-shot)";
     for (int q : queries) {
       const std::set<int> relevant = RelevantSetFor(db, q);
       const int group_r = static_cast<int>(relevant.size());
-      DESS_ASSIGN_OR_RETURN(std::vector<SearchResult> by_group,
-                            engine.QueryByIdTopK(q, ordinal, group_r));
+      DESS_ASSIGN_OR_RETURN(
+          QueryResponse by_group,
+          engine.QueryById(q, QueryRequest::TopK(space, group_r)));
       row.avg_recall_group_size +=
-          ComputePrecisionRecall(IdsOf(by_group), relevant).recall;
-      DESS_ASSIGN_OR_RETURN(std::vector<SearchResult> by_ten,
-                            engine.QueryByIdTopK(q, ordinal, 10));
-      const PrPoint p10 = ComputePrecisionRecall(IdsOf(by_ten), relevant);
+          ComputePrecisionRecall(IdsOf(by_group.results), relevant).recall;
+      DESS_ASSIGN_OR_RETURN(QueryResponse by_ten,
+                            engine.QueryById(q, QueryRequest::TopK(space, 10)));
+      const PrPoint p10 =
+          ComputePrecisionRecall(IdsOf(by_ten.results), relevant);
       row.avg_recall_10 += p10.recall;
       row.avg_precision_10 += p10.precision;
     }
@@ -112,14 +115,17 @@ Result<std::vector<EffectivenessRow>> RunAverageEffectiveness(
     const std::set<int> relevant = RelevantSetFor(db, q);
     const int group_r = static_cast<int>(relevant.size());
     DESS_ASSIGN_OR_RETURN(
-        std::vector<SearchResult> by_group,
-        MultiStepQueryById(engine, q, PlanWithFinalKeep(plan, group_r)));
+        QueryResponse by_group,
+        engine.QueryById(q, QueryRequest::MultiStep(
+                                PlanWithFinalKeep(plan, group_r))));
     ms.avg_recall_group_size +=
-        ComputePrecisionRecall(IdsOf(by_group), relevant).recall;
+        ComputePrecisionRecall(IdsOf(by_group.results), relevant).recall;
     DESS_ASSIGN_OR_RETURN(
-        std::vector<SearchResult> by_ten,
-        MultiStepQueryById(engine, q, PlanWithFinalKeep(plan, 10)));
-    const PrPoint p10 = ComputePrecisionRecall(IdsOf(by_ten), relevant);
+        QueryResponse by_ten,
+        engine.QueryById(q,
+                         QueryRequest::MultiStep(PlanWithFinalKeep(plan, 10))));
+    const PrPoint p10 =
+        ComputePrecisionRecall(IdsOf(by_ten.results), relevant);
     ms.avg_recall_10 += p10.recall;
     ms.avg_precision_10 += p10.precision;
   }

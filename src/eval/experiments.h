@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "src/eval/precision_recall.h"
-#include "src/search/multistep.h"
+#include "src/search/search_engine.h"
 
 namespace dess {
 

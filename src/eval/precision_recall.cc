@@ -46,11 +46,13 @@ Result<std::vector<PrPoint>> PrCurveForThresholds(
   curve.reserve(thresholds.size());
   for (double threshold : thresholds) {
     DESS_ASSIGN_OR_RETURN(
-        std::vector<SearchResult> results,
-        engine.QueryByIdThreshold(query_id, ordinal, threshold));
+        QueryResponse response,
+        engine.QueryById(query_id, QueryRequest::Threshold(
+                                       engine.registry().id(ordinal),
+                                       threshold)));
     std::vector<int> ids;
-    ids.reserve(results.size());
-    for (const SearchResult& r : results) ids.push_back(r.id);
+    ids.reserve(response.results.size());
+    for (const SearchResult& r : response.results) ids.push_back(r.id);
     PrPoint p = ComputePrecisionRecall(ids, relevant);
     p.threshold = threshold;
     curve.push_back(p);

@@ -13,16 +13,6 @@ namespace dess {
 
 struct ExtractionArtifacts;
 
-/// How a feature space prefers to be indexed by the search engine.
-/// kDefault follows SearchEngineOptions; the explicit values force one
-/// backend for this space regardless of the engine-wide setting (useful
-/// for high-dimensional histogram spaces where an R-tree degenerates).
-enum class IndexPreference {
-  kDefault,
-  kRTree,
-  kLinearScan,
-};
-
 /// Extractor callback of one feature space: computes the space's vector
 /// from the pipeline artifacts of one shape (normalized mesh, voxel model,
 /// skeleton, skeletal graph). Must be deterministic and thread-compatible;
@@ -51,11 +41,11 @@ struct FeatureSpaceDef {
   bool standardize = true;
   /// Per-dimension weights installed at engine build; empty means all 1.0.
   std::vector<double> default_weights;
-  IndexPreference index_preference = IndexPreference::kDefault;
   /// Index backend id for this space ("linear_scan", "rtree", "hnsw", or a
   /// backend registered with the engine's IndexBackendRegistry). Empty
-  /// follows the engine-wide setting. Takes precedence over the legacy
-  /// index_preference enum, which survives for source compatibility.
+  /// follows the engine-wide setting; an explicit id forces one backend
+  /// regardless of it (useful for high-dimensional histogram spaces where
+  /// an R-tree degenerates).
   std::string index_backend;
 };
 

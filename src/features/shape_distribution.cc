@@ -6,6 +6,7 @@
 #include "src/common/rng.h"
 #include "src/features/extractors.h"
 #include "src/geom/aabb.h"
+#include "src/index/index_backend.h"
 
 namespace dess {
 namespace {
@@ -71,7 +72,7 @@ FeatureSpaceDef MakeD2SpaceDef(const D2Options& options) {
   def.id = kD2SpaceId;
   def.dim = std::max(1, options.num_bins);
   def.standardize = false;  // already a probability histogram
-  def.index_preference = IndexPreference::kLinearScan;
+  def.index_backend = kLinearScanBackendId;  // an R-tree degenerates here
   def.extractor = [options](const ExtractionArtifacts& art)
       -> Result<FeatureVector> {
     return D2Feature(art.normalization.mesh, options);

@@ -1,9 +1,8 @@
-#include "src/search/multistep.h"
-
 #include <algorithm>
 #include <chrono>
 
 #include "src/common/metrics.h"
+#include "src/search/search_engine.h"
 
 namespace dess {
 
@@ -14,22 +13,41 @@ MultiStepPlan MultiStepPlan::Standard(int first_retrieve, int final_keep) {
   return plan;
 }
 
-namespace {
-
-/// The registry ordinal a stage addresses: `space` (id) when set, the
-/// legacy `kind` enum otherwise. Unknown ids fail InvalidArgument.
-Result<int> StageOrdinal(const SearchEngine& engine,
-                         const MultiStepStage& stage) {
-  if (!stage.space.empty()) return engine.ResolveSpace(stage.space);
-  return static_cast<int>(stage.kind);
-}
-
-Result<std::vector<SearchResult>> RunPlan(
-    const SearchEngine& engine,
-    const std::vector<std::vector<double>>& query_features, int exclude_id,
-    const MultiStepPlan& plan, QueryStats* stats,
-    QueryRequest::TimePoint deadline,
-    std::vector<StageTiming>* stage_timings) {
+Status SearchEngine::RunPlan(const ShapeSignature* query, int query_id,
+                             const QueryRequest& request,
+                             QueryResponse* response) const {
+  if (!request.weights.empty()) {
+    return Status::InvalidArgument(
+        "per-query weights are not supported for multi-step queries; "
+        "the plan's stages span several feature spaces");
+  }
+  const MultiStepPlan& plan = request.plan;
+  // The registry ordinal a stage addresses: `space` (id) when set, the
+  // legacy `kind` enum otherwise. Unknown ids fail InvalidArgument.
+  const auto stage_ordinal = [&](const MultiStepStage& stage) -> Result<int> {
+    if (!stage.space.empty()) return registry_->Resolve(stage.space);
+    return static_cast<int>(stage.kind);
+  };
+  std::vector<std::vector<double>> query_features;
+  int exclude_id = -1;
+  if (query != nullptr) {
+    query_features.resize(std::min(NumSpaces(), query->NumSpaces()));
+    for (size_t i = 0; i < query_features.size(); ++i) {
+      query_features[i] = query->At(static_cast<int>(i)).values;
+    }
+  } else {
+    // Resolve every stage before touching the database so an unknown space
+    // id fails InvalidArgument regardless of the query shape.
+    for (const MultiStepStage& stage : plan.stages) {
+      DESS_RETURN_NOT_OK(stage_ordinal(stage).status());
+    }
+    query_features.resize(NumSpaces());
+    for (int ordinal = 0; ordinal < NumSpaces(); ++ordinal) {
+      DESS_ASSIGN_OR_RETURN(query_features[ordinal],
+                            db_->Feature(query_id, ordinal));
+    }
+    exclude_id = query_id;
+  }
   if (plan.stages.empty()) {
     return Status::InvalidArgument("multi-step: empty plan");
   }
@@ -37,14 +55,14 @@ Result<std::vector<SearchResult>> RunPlan(
   MetricsRegistry* registry = MetricsRegistry::Global();
   std::vector<SearchResult> current;
   for (size_t s = 0; s < plan.stages.size(); ++s) {
-    if (deadline != QueryRequest::TimePoint{} &&
-        std::chrono::steady_clock::now() > deadline) {
+    if (request.has_deadline() &&
+        std::chrono::steady_clock::now() > request.deadline) {
       return Status::DeadlineExceeded(
           "multi-step query deadline passed before stage " +
           std::to_string(s));
     }
     const MultiStepStage& stage = plan.stages[s];
-    DESS_ASSIGN_OR_RETURN(const int ordinal, StageOrdinal(engine, stage));
+    DESS_ASSIGN_OR_RETURN(const int ordinal, stage_ordinal(stage));
     if (ordinal < 0 ||
         ordinal >= static_cast<int>(query_features.size())) {
       return Status::InvalidArgument(
@@ -61,23 +79,21 @@ Result<std::vector<SearchResult>> RunPlan(
       // ranks slightly low still reaches the exact stages, which restore
       // the order. The final stage's keep still bounds the answer size.
       size_t k =
-          stage.keep > 0 ? static_cast<size_t>(stage.keep) : engine.db().NumShapes();
-      if (!engine.IsExactAt(ordinal) && plan.stages.size() > 1) {
+          stage.keep > 0 ? static_cast<size_t>(stage.keep) : db_->NumShapes();
+      if (!IsExactAt(ordinal) && plan.stages.size() > 1) {
         const size_t oversample = static_cast<size_t>(
-            std::max(1, engine.options().approx_oversample));
-        const size_t cap = engine.db().NumShapes();
+            std::max(1, options_.approx_oversample));
+        const size_t cap = db_->NumShapes();
         k = k > cap / oversample ? cap : k * oversample;
       }
       DESS_ASSIGN_OR_RETURN(
           current,
-          engine.QueryTopK(feature, ordinal,
-                           k + (exclude_id >= 0 ? 1 : 0), stats));
+          QueryTopKImpl(feature, ordinal, k + (exclude_id >= 0 ? 1 : 0),
+                        /*weights=*/nullptr, &response->stats));
       if (exclude_id >= 0) {
-        current.erase(std::remove_if(current.begin(), current.end(),
-                                     [&](const SearchResult& r) {
-                                       return r.id == exclude_id;
-                                     }),
-                      current.end());
+        std::erase_if(current, [&](const SearchResult& r) {
+          return r.id == exclude_id;
+        });
       }
       if (current.size() > k) {
         current.resize(k);
@@ -97,60 +113,22 @@ Result<std::vector<SearchResult>> RunPlan(
       }
       DESS_ASSIGN_OR_RETURN(
           current,
-          engine.Rerank(ids, feature, ordinal,
-                        stage.keep > 0 ? static_cast<size_t>(stage.keep) : 0));
-      if (stats != nullptr) {
-        stats->points_compared += ids.size();
-      }
+          Rerank(ids, feature, ordinal,
+                 stage.keep > 0 ? static_cast<size_t>(stage.keep) : 0));
+      response->stats.points_compared += ids.size();
       if (stage.keep > 0 && current.size() > static_cast<size_t>(stage.keep)) {
         current.resize(stage.keep);
       }
     }
-    if (stage_timings != nullptr) {
-      stage_timings->push_back(MakeStageTiming(
-          s == 0 ? "search.query_topk" : "search.rerank", deadline,
-          stage_start, std::chrono::steady_clock::now()));
-    }
+    response->stage_timings.push_back(MakeStageTiming(
+        s == 0 ? "search.query_topk" : "search.rerank", request.deadline,
+        stage_start, std::chrono::steady_clock::now()));
   }
   if (registry->enabled()) {
     registry->AddCounter("multistep.final_results", current.size());
   }
-  return current;
-}
-
-}  // namespace
-
-Result<std::vector<SearchResult>> MultiStepQueryById(
-    const SearchEngine& engine, int query_id, const MultiStepPlan& plan,
-    QueryStats* stats, QueryRequest::TimePoint deadline,
-    std::vector<StageTiming>* stage_timings) {
-  // Resolve every stage before touching the database so an unknown space
-  // id fails InvalidArgument regardless of the query shape.
-  for (const MultiStepStage& stage : plan.stages) {
-    DESS_RETURN_NOT_OK(StageOrdinal(engine, stage).status());
-  }
-  std::vector<std::vector<double>> features(engine.NumSpaces());
-  for (int ordinal = 0; ordinal < engine.NumSpaces(); ++ordinal) {
-    DESS_ASSIGN_OR_RETURN(features[ordinal],
-                          engine.db().Feature(query_id, ordinal));
-  }
-  return RunPlan(engine, features, query_id, plan, stats, deadline,
-                 stage_timings);
-}
-
-Result<std::vector<SearchResult>> MultiStepQuery(const SearchEngine& engine,
-                                                 const ShapeSignature& query,
-                                                 const MultiStepPlan& plan,
-                                                 QueryStats* stats,
-                                                 QueryRequest::TimePoint deadline,
-                                                 std::vector<StageTiming>* stage_timings) {
-  std::vector<std::vector<double>> features(
-      std::min(engine.NumSpaces(), query.NumSpaces()));
-  for (size_t i = 0; i < features.size(); ++i) {
-    features[i] = query.At(static_cast<int>(i)).values;
-  }
-  return RunPlan(engine, features, /*exclude_id=*/-1, plan, stats, deadline,
-                 stage_timings);
+  response->results = std::move(current);
+  return Status::OK();
 }
 
 }  // namespace dess

@@ -25,15 +25,6 @@ Result<std::vector<double>> MeanFeature(const ShapeDatabase& db, int ordinal,
 }  // namespace
 
 Result<std::vector<double>> ReconstructQuery(const SearchEngine& engine,
-                                             FeatureKind kind,
-                                             const std::vector<double>& raw_query,
-                                             const Feedback& feedback,
-                                             const FeedbackOptions& options) {
-  return ReconstructQuery(engine, static_cast<int>(kind), raw_query,
-                          feedback, options);
-}
-
-Result<std::vector<double>> ReconstructQuery(const SearchEngine& engine,
                                              int ordinal,
                                              const std::vector<double>& raw_query,
                                              const Feedback& feedback,
@@ -69,14 +60,6 @@ Result<std::vector<double>> ReconstructQuery(const SearchEngine& engine,
     for (double& v : q) v /= denom;
   }
   return q;
-}
-
-Result<std::vector<double>> ReconfigureWeights(
-    const SearchEngine& engine, FeatureKind kind, const Feedback& feedback,
-    const FeedbackOptions& options,
-    const std::vector<double>* current_weights) {
-  return ReconfigureWeights(engine, static_cast<int>(kind), feedback,
-                            options, current_weights);
 }
 
 Result<std::vector<double>> ReconfigureWeights(
@@ -151,14 +134,6 @@ Result<std::vector<double>> ReconfigureWeights(
 }
 
 Result<std::vector<SearchResult>> FeedbackRound(
-    const SearchEngine& engine, FeatureKind kind,
-    std::vector<double>* raw_query, std::vector<double>* session_weights,
-    const Feedback& feedback, size_t k, const FeedbackOptions& options) {
-  return FeedbackRound(engine, static_cast<int>(kind), raw_query,
-                       session_weights, feedback, k, options);
-}
-
-Result<std::vector<SearchResult>> FeedbackRound(
     const SearchEngine& engine, int ordinal,
     std::vector<double>* raw_query, std::vector<double>* session_weights,
     const Feedback& feedback, size_t k, const FeedbackOptions& options) {
@@ -170,7 +145,14 @@ Result<std::vector<SearchResult>> FeedbackRound(
       *session_weights,
       ReconfigureWeights(engine, ordinal, feedback, options,
                          session_weights));
-  return engine.QueryTopKWeighted(*raw_query, ordinal, k, *session_weights);
+  // ReconfigureWeights never returns empty weights, so the request always
+  // carries the session's weights rather than the installed ones.
+  ShapeSignature probe;
+  probe.MutableAt(ordinal).values = *raw_query;
+  QueryRequest request = QueryRequest::TopK(engine.registry().id(ordinal), k);
+  request.weights = *session_weights;
+  DESS_ASSIGN_OR_RETURN(QueryResponse response, engine.Query(probe, request));
+  return std::move(response.results);
 }
 
 }  // namespace dess

@@ -26,13 +26,8 @@ struct FeedbackOptions {
 
 /// Query reconstruction (first feedback mechanism of Section 2.2): moves
 /// the raw query vector toward the centroid of the relevant shapes and away
-/// from the centroid of the irrelevant ones. Each entry point exists in
-/// FeatureKind (canonical) and registry-ordinal addressing forms and works
-/// against any registered feature space.
-Result<std::vector<double>> ReconstructQuery(
-    const SearchEngine& engine, FeatureKind kind,
-    const std::vector<double>& raw_query, const Feedback& feedback,
-    const FeedbackOptions& options = {});
+/// from the centroid of the irrelevant ones. Every entry point addresses a
+/// registered feature space by its registry ordinal.
 Result<std::vector<double>> ReconstructQuery(
     const SearchEngine& engine, int ordinal,
     const std::vector<double>& raw_query, const Feedback& feedback,
@@ -45,10 +40,6 @@ Result<std::vector<double>> ReconstructQuery(
 /// means the space's installed weights). Needs at least two relevant shapes
 /// to estimate variances; returns the current weights otherwise.
 Result<std::vector<double>> ReconfigureWeights(
-    const SearchEngine& engine, FeatureKind kind, const Feedback& feedback,
-    const FeedbackOptions& options = {},
-    const std::vector<double>* current_weights = nullptr);
-Result<std::vector<double>> ReconfigureWeights(
     const SearchEngine& engine, int ordinal, const Feedback& feedback,
     const FeedbackOptions& options = {},
     const std::vector<double>* current_weights = nullptr);
@@ -59,10 +50,6 @@ Result<std::vector<double>> ReconfigureWeights(
 /// the top-k search with the reconfigured weights. Feedback state lives in
 /// the caller's session, not in the shared engine, so concurrent sessions
 /// never see each other's weights.
-Result<std::vector<SearchResult>> FeedbackRound(
-    const SearchEngine& engine, FeatureKind kind,
-    std::vector<double>* raw_query, std::vector<double>* session_weights,
-    const Feedback& feedback, size_t k, const FeedbackOptions& options = {});
 Result<std::vector<SearchResult>> FeedbackRound(
     const SearchEngine& engine, int ordinal,
     std::vector<double>* raw_query, std::vector<double>* session_weights,

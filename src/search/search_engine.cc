@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 
 #include "src/common/logging.h"
@@ -13,7 +14,6 @@
 #include "src/index/distance_kernel.h"
 #include "src/index/linear_scan.h"
 #include "src/index/rtree.h"
-#include "src/search/multistep.h"
 
 namespace dess {
 namespace {
@@ -239,12 +239,6 @@ Result<std::unique_ptr<SearchEngine>> SearchEngine::Build(
 std::string ResolveIndexBackendId(const SearchEngineOptions& options,
                                   const FeatureSpaceDef& def) {
   if (!def.index_backend.empty()) return def.index_backend;
-  if (def.index_preference == IndexPreference::kRTree) {
-    return kRTreeBackendId;
-  }
-  if (def.index_preference == IndexPreference::kLinearScan) {
-    return kLinearScanBackendId;
-  }
   if (!options.index_backend.empty()) return options.index_backend;
   switch (options.backend) {
     case IndexBackend::kDiskRTree:
@@ -410,15 +404,6 @@ Result<std::unique_ptr<SearchEngine>> SearchEngine::Layer(
   return engine;
 }
 
-Result<std::unique_ptr<SearchEngine>> SearchEngine::Build(
-    const ShapeDatabase* db, const SearchEngineOptions& options) {
-  // Non-owning alias: the caller guarantees the database outlives the
-  // engine (the documented contract of this overload).
-  return Build(std::shared_ptr<const ShapeDatabase>(
-                   std::shared_ptr<const ShapeDatabase>(), db),
-               options);
-}
-
 Status SearchEngine::CheckOrdinal(int ordinal) const {
   if (ordinal < 0 || ordinal >= NumSpaces()) {
     return Status::InvalidArgument(
@@ -433,11 +418,6 @@ Result<int> SearchEngine::RequestOrdinal(const QueryRequest& request) const {
   const int ordinal = static_cast<int>(request.kind);
   DESS_RETURN_NOT_OK(CheckOrdinal(ordinal));
   return ordinal;
-}
-
-Status SearchEngine::SetWeights(FeatureKind kind,
-                                const std::vector<double>& weights) {
-  return SetWeights(static_cast<int>(kind), weights);
 }
 
 Status SearchEngine::SetWeights(int ordinal,
@@ -496,23 +476,11 @@ void RecordEngineQuery(size_t results_returned, const QueryStats& work) {
   registry->AddCounter("search.distance_evals", work.points_compared);
 }
 
-/// Drops `query_id` from `results` and trims to `k` (0 = no trim).
-void ExcludeAndTrim(std::vector<SearchResult>* results, int query_id,
-                    size_t k) {
-  results->erase(std::remove_if(results->begin(), results->end(),
-                                [&](const SearchResult& r) {
-                                  return r.id == query_id;
-                                }),
-                 results->end());
-  if (k > 0 && results->size() > k) results->resize(k);
-}
-
 }  // namespace
 
 Result<std::vector<SearchResult>> SearchEngine::QueryTopKImpl(
     const std::vector<double>& raw_feature, int ordinal, size_t k,
     const std::vector<double>* weights, QueryStats* stats) const {
-  DESS_RETURN_NOT_OK(CheckOrdinal(ordinal));
   const int ki = ordinal;
   if (static_cast<int>(raw_feature.size()) != registry_->dim(ordinal)) {
     return Status::InvalidArgument("query feature dimension mismatch");
@@ -566,7 +534,6 @@ Result<std::vector<SearchResult>> SearchEngine::QueryThresholdImpl(
     const std::vector<double>& raw_feature, int ordinal,
     double min_similarity, const std::vector<double>* weights,
     QueryStats* stats) const {
-  DESS_RETURN_NOT_OK(CheckOrdinal(ordinal));
   const int ki = ordinal;
   if (static_cast<int>(raw_feature.size()) != registry_->dim(ordinal)) {
     return Status::InvalidArgument("query feature dimension mismatch");
@@ -618,267 +585,68 @@ Result<std::vector<SearchResult>> SearchEngine::QueryThresholdImpl(
   return results;
 }
 
-Result<std::vector<SearchResult>> SearchEngine::QueryTopK(
-    const std::vector<double>& raw_feature, FeatureKind kind, size_t k,
-    QueryStats* stats) const {
-  return QueryTopKImpl(raw_feature, static_cast<int>(kind), k, nullptr,
-                       stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryTopK(
-    const std::vector<double>& raw_feature, int ordinal, size_t k,
-    QueryStats* stats) const {
-  return QueryTopKImpl(raw_feature, ordinal, k, nullptr, stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryTopK(
-    const std::vector<double>& raw_feature, const std::string& space_id,
-    size_t k, QueryStats* stats) const {
-  DESS_ASSIGN_OR_RETURN(const int ordinal, registry_->Resolve(space_id));
-  return QueryTopKImpl(raw_feature, ordinal, k, nullptr, stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryTopKWeighted(
-    const std::vector<double>& raw_feature, FeatureKind kind, size_t k,
-    const std::vector<double>& weights, QueryStats* stats) const {
-  return QueryTopKWeighted(raw_feature, static_cast<int>(kind), k, weights,
-                           stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryTopKWeighted(
-    const std::vector<double>& raw_feature, int ordinal, size_t k,
-    const std::vector<double>& weights, QueryStats* stats) const {
-  DESS_RETURN_NOT_OK(CheckOrdinal(ordinal));
-  QueryRequest probe;
-  probe.weights = weights;
-  DESS_RETURN_NOT_OK(CheckRequestWeights(probe, ordinal));
-  return QueryTopKImpl(raw_feature, ordinal, k, &weights, stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryThreshold(
-    const std::vector<double>& raw_feature, FeatureKind kind,
-    double min_similarity, QueryStats* stats) const {
-  return QueryThresholdImpl(raw_feature, static_cast<int>(kind),
-                            min_similarity, nullptr, stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryThreshold(
-    const std::vector<double>& raw_feature, int ordinal,
-    double min_similarity, QueryStats* stats) const {
-  return QueryThresholdImpl(raw_feature, ordinal, min_similarity, nullptr,
-                            stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryThreshold(
-    const std::vector<double>& raw_feature, const std::string& space_id,
-    double min_similarity, QueryStats* stats) const {
-  DESS_ASSIGN_OR_RETURN(const int ordinal, registry_->Resolve(space_id));
-  return QueryThresholdImpl(raw_feature, ordinal, min_similarity, nullptr,
-                            stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryThresholdWeighted(
-    const std::vector<double>& raw_feature, FeatureKind kind,
-    double min_similarity, const std::vector<double>& weights,
-    QueryStats* stats) const {
-  return QueryThresholdWeighted(raw_feature, static_cast<int>(kind),
-                                min_similarity, weights, stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryThresholdWeighted(
-    const std::vector<double>& raw_feature, int ordinal,
-    double min_similarity, const std::vector<double>& weights,
-    QueryStats* stats) const {
-  DESS_RETURN_NOT_OK(CheckOrdinal(ordinal));
-  QueryRequest probe;
-  probe.weights = weights;
-  DESS_RETURN_NOT_OK(CheckRequestWeights(probe, ordinal));
-  return QueryThresholdImpl(raw_feature, ordinal, min_similarity, &weights,
-                            stats);
-}
-
 Result<QueryResponse> SearchEngine::Query(const ShapeSignature& query,
                                           const QueryRequest& request) const {
-  DESS_RETURN_NOT_OK(CheckDeadline(request));
-  QueryResponse response;
-  switch (request.mode) {
-    case QueryMode::kTopK: {
-      DESS_ASSIGN_OR_RETURN(const int ordinal, RequestOrdinal(request));
-      DESS_RETURN_NOT_OK(CheckRequestWeights(request, ordinal));
-      if (ordinal >= query.NumSpaces()) {
-        return Status::InvalidArgument(
-            "query signature carries no vector for feature space '" +
-            registry_->id(ordinal) + "'");
-      }
-      const std::vector<double>* w =
-          request.weights.empty() ? nullptr : &request.weights;
-      const auto start = std::chrono::steady_clock::now();
-      DESS_ASSIGN_OR_RETURN(
-          response.results,
-          QueryTopKImpl(query.At(ordinal).values, ordinal, request.k, w,
-                        &response.stats));
-      response.stage_timings.push_back(
-          MakeStageTiming("search.query_topk", request.deadline, start,
-                          std::chrono::steady_clock::now()));
-      break;
-    }
-    case QueryMode::kThreshold: {
-      DESS_ASSIGN_OR_RETURN(const int ordinal, RequestOrdinal(request));
-      DESS_RETURN_NOT_OK(CheckRequestWeights(request, ordinal));
-      if (ordinal >= query.NumSpaces()) {
-        return Status::InvalidArgument(
-            "query signature carries no vector for feature space '" +
-            registry_->id(ordinal) + "'");
-      }
-      const std::vector<double>* w =
-          request.weights.empty() ? nullptr : &request.weights;
-      const auto start = std::chrono::steady_clock::now();
-      DESS_ASSIGN_OR_RETURN(
-          response.results,
-          QueryThresholdImpl(query.At(ordinal).values, ordinal,
-                             request.min_similarity, w, &response.stats));
-      response.stage_timings.push_back(
-          MakeStageTiming("search.query_threshold", request.deadline, start,
-                          std::chrono::steady_clock::now()));
-      break;
-    }
-    case QueryMode::kMultiStep: {
-      if (!request.weights.empty()) {
-        return Status::InvalidArgument(
-            "per-query weights are not supported for multi-step queries; "
-            "the plan's stages span several feature spaces");
-      }
-      DESS_ASSIGN_OR_RETURN(
-          response.results,
-          MultiStepQuery(*this, query, request.plan, &response.stats,
-                         request.deadline, &response.stage_timings));
-      break;
-    }
-  }
-  return response;
+  return Execute(&query, /*query_id=*/-1, request);
 }
 
 Result<QueryResponse> SearchEngine::QueryById(
     int query_id, const QueryRequest& request) const {
+  return Execute(/*query=*/nullptr, query_id, request);
+}
+
+Result<QueryResponse> SearchEngine::Execute(const ShapeSignature* query,
+                                            int query_id,
+                                            const QueryRequest& request) const {
   DESS_RETURN_NOT_OK(CheckDeadline(request));
   QueryResponse response;
-  switch (request.mode) {
-    case QueryMode::kTopK: {
-      DESS_ASSIGN_OR_RETURN(const int ordinal, RequestOrdinal(request));
-      DESS_RETURN_NOT_OK(CheckRequestWeights(request, ordinal));
-      const std::vector<double>* w =
-          request.weights.empty() ? nullptr : &request.weights;
-      DESS_ASSIGN_OR_RETURN(std::vector<double> raw,
-                            db_->Feature(query_id, ordinal));
-      // Fetch one extra so the count survives dropping the query itself.
-      const auto start = std::chrono::steady_clock::now();
-      DESS_ASSIGN_OR_RETURN(
-          response.results,
-          QueryTopKImpl(raw, ordinal, request.k + 1, w, &response.stats));
-      ExcludeAndTrim(&response.results, query_id, request.k);
-      response.stage_timings.push_back(
-          MakeStageTiming("search.query_topk", request.deadline, start,
-                          std::chrono::steady_clock::now()));
-      break;
-    }
-    case QueryMode::kThreshold: {
-      DESS_ASSIGN_OR_RETURN(const int ordinal, RequestOrdinal(request));
-      DESS_RETURN_NOT_OK(CheckRequestWeights(request, ordinal));
-      const std::vector<double>* w =
-          request.weights.empty() ? nullptr : &request.weights;
-      DESS_ASSIGN_OR_RETURN(std::vector<double> raw,
-                            db_->Feature(query_id, ordinal));
-      const auto start = std::chrono::steady_clock::now();
-      DESS_ASSIGN_OR_RETURN(
-          response.results,
-          QueryThresholdImpl(raw, ordinal, request.min_similarity, w,
-                             &response.stats));
-      ExcludeAndTrim(&response.results, query_id, /*k=*/0);
-      response.stage_timings.push_back(
-          MakeStageTiming("search.query_threshold", request.deadline, start,
-                          std::chrono::steady_clock::now()));
-      break;
-    }
-    case QueryMode::kMultiStep: {
-      if (!request.weights.empty()) {
-        return Status::InvalidArgument(
-            "per-query weights are not supported for multi-step queries; "
-            "the plan's stages span several feature spaces");
-      }
-      DESS_ASSIGN_OR_RETURN(
-          response.results,
-          MultiStepQueryById(*this, query_id, request.plan, &response.stats,
-                             request.deadline, &response.stage_timings));
-      break;
-    }
+  if (request.mode == QueryMode::kMultiStep) {
+    DESS_RETURN_NOT_OK(RunPlan(query, query_id, request, &response));
+    return response;
   }
+  DESS_ASSIGN_OR_RETURN(const int ordinal, RequestOrdinal(request));
+  DESS_RETURN_NOT_OK(CheckRequestWeights(request, ordinal));
+  std::vector<double> stored;
+  if (query == nullptr) {
+    DESS_ASSIGN_OR_RETURN(stored, db_->Feature(query_id, ordinal));
+  } else if (ordinal >= query->NumSpaces()) {
+    return Status::InvalidArgument(
+        "query signature carries no vector for feature space '" +
+        registry_->id(ordinal) + "'");
+  }
+  const std::vector<double>& raw =
+      query == nullptr ? stored : query->At(ordinal).values;
+  const std::vector<double>* w =
+      request.weights.empty() ? nullptr : &request.weights;
+  const bool top_k = request.mode == QueryMode::kTopK;
+  const auto start = std::chrono::steady_clock::now();
+  if (top_k) {
+    // By id, fetch one extra so the count survives dropping the query
+    // itself — saturating, so a wire k of SIZE_MAX cannot wrap to 0.
+    const size_t fetch =
+        query != nullptr || request.k == std::numeric_limits<size_t>::max()
+            ? request.k
+            : request.k + 1;
+    DESS_ASSIGN_OR_RETURN(
+        response.results,
+        QueryTopKImpl(raw, ordinal, fetch, w, &response.stats));
+  } else {
+    DESS_ASSIGN_OR_RETURN(
+        response.results,
+        QueryThresholdImpl(raw, ordinal, request.min_similarity, w,
+                           &response.stats));
+  }
+  if (query == nullptr) {
+    std::erase_if(response.results,
+                  [&](const SearchResult& r) { return r.id == query_id; });
+  }
+  if (top_k && response.results.size() > request.k) {
+    response.results.resize(request.k);
+  }
+  response.stage_timings.push_back(MakeStageTiming(
+      top_k ? "search.query_topk" : "search.query_threshold",
+      request.deadline, start, std::chrono::steady_clock::now()));
   return response;
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryByIdTopK(
-    int query_id, FeatureKind kind, size_t k, bool exclude_query,
-    QueryStats* stats) const {
-  return QueryByIdTopK(query_id, static_cast<int>(kind), k, exclude_query,
-                       stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryByIdTopK(
-    int query_id, int ordinal, size_t k, bool exclude_query,
-    QueryStats* stats) const {
-  DESS_RETURN_NOT_OK(CheckOrdinal(ordinal));
-  DESS_ASSIGN_OR_RETURN(std::vector<double> raw,
-                        db_->Feature(query_id, ordinal));
-  // Fetch one extra so the count survives dropping the query itself.
-  DESS_ASSIGN_OR_RETURN(std::vector<SearchResult> results,
-                        QueryTopK(raw, ordinal, k + (exclude_query ? 1 : 0),
-                                  stats));
-  if (exclude_query) {
-    ExcludeAndTrim(&results, query_id, k);
-  }
-  return results;
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryByIdTopK(
-    int query_id, const std::string& space_id, size_t k, bool exclude_query,
-    QueryStats* stats) const {
-  DESS_ASSIGN_OR_RETURN(const int ordinal, registry_->Resolve(space_id));
-  return QueryByIdTopK(query_id, ordinal, k, exclude_query, stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryByIdThreshold(
-    int query_id, FeatureKind kind, double min_similarity, bool exclude_query,
-    QueryStats* stats) const {
-  return QueryByIdThreshold(query_id, static_cast<int>(kind), min_similarity,
-                            exclude_query, stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryByIdThreshold(
-    int query_id, int ordinal, double min_similarity, bool exclude_query,
-    QueryStats* stats) const {
-  DESS_RETURN_NOT_OK(CheckOrdinal(ordinal));
-  DESS_ASSIGN_OR_RETURN(std::vector<double> raw,
-                        db_->Feature(query_id, ordinal));
-  DESS_ASSIGN_OR_RETURN(std::vector<SearchResult> results,
-                        QueryThreshold(raw, ordinal, min_similarity, stats));
-  if (exclude_query) {
-    ExcludeAndTrim(&results, query_id, /*k=*/0);
-  }
-  return results;
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryByIdThreshold(
-    int query_id, const std::string& space_id, double min_similarity,
-    bool exclude_query, QueryStats* stats) const {
-  DESS_ASSIGN_OR_RETURN(const int ordinal, registry_->Resolve(space_id));
-  return QueryByIdThreshold(query_id, ordinal, min_similarity, exclude_query,
-                            stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::Rerank(
-    const std::vector<int>& candidate_ids,
-    const std::vector<double>& raw_feature, FeatureKind kind,
-    size_t keep) const {
-  return Rerank(candidate_ids, raw_feature, static_cast<int>(kind), keep);
 }
 
 Result<std::vector<SearchResult>> SearchEngine::Rerank(

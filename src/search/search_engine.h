@@ -59,8 +59,8 @@ struct SearchEngineOptions {
   bool standardize = true;
   /// Explicit backend selection; kRTree/kLinearScan mirror `use_rtree`.
   /// kDiskRTree persists one index file per feature space under
-  /// `disk_index_dir`. A space whose FeatureSpaceDef carries an explicit
-  /// IndexPreference overrides this engine-wide choice.
+  /// `disk_index_dir`. A space whose FeatureSpaceDef names a backend
+  /// overrides this engine-wide choice.
   IndexBackend backend = IndexBackend::kRTree;
   /// Directory for kDiskRTree index files (created if missing).
   std::string disk_index_dir = ".";
@@ -93,11 +93,10 @@ struct SearchEngineOptions {
 };
 
 /// The backend id the engine will use for one space, in precedence order:
-/// the space's explicit FeatureSpaceDef::index_backend, its legacy
-/// IndexPreference, the engine-wide SearchEngineOptions::index_backend,
-/// and finally the legacy enum/use_rtree pair. Returns
-/// kDiskRTreeBackendId for the packed on-disk R-tree, which is selected
-/// like a backend but built outside the registry.
+/// the space's explicit FeatureSpaceDef::index_backend, the engine-wide
+/// SearchEngineOptions::index_backend, and finally the legacy
+/// enum/use_rtree pair. Returns kDiskRTreeBackendId for the packed on-disk
+/// R-tree, which is selected like a backend but built outside the registry.
 std::string ResolveIndexBackendId(const SearchEngineOptions& options,
                                   const FeatureSpaceDef& def);
 
@@ -117,12 +116,6 @@ class SearchEngine {
   static Result<std::unique_ptr<SearchEngine>> Build(
       std::shared_ptr<const ShapeDatabase> db,
       const SearchEngineOptions& options = {});
-
-  /// Compatibility overload for callers owning a mutable database: the
-  /// engine aliases `db` without owning it. The database must outlive the
-  /// engine and not change while the engine exists.
-  static Result<std::unique_ptr<SearchEngine>> Build(
-      const ShapeDatabase* db, const SearchEngineOptions& options = {});
 
   /// Assembles an engine from preloaded parts — the persistence layer's
   /// cold-start path, which restores spaces and indexes from a snapshot
@@ -167,9 +160,6 @@ class SearchEngine {
   }
   int NumSpaces() const { return static_cast<int>(spaces_.size()); }
 
-  const SimilaritySpace& Space(FeatureKind kind) const {
-    return spaces_[static_cast<int>(kind)];
-  }
   /// Similarity space at one registry ordinal.
   const SimilaritySpace& SpaceAt(int ordinal) const {
     return spaces_[ordinal];
@@ -237,9 +227,11 @@ class SearchEngine {
   }
 
   /// Executes one self-describing query (kTopK, kThreshold or kMultiStep)
-  /// against an external query signature. Honors `request.weights` and
-  /// `request.deadline`; fills QueryResponse::stats (epoch is left 0 — the
-  /// snapshot layer stamps it).
+  /// against an external query signature — with QueryById, the engine's
+  /// only query surface. Honors `request.weights` and `request.deadline`;
+  /// fills QueryResponse::stats (epoch is left 0 — the snapshot layer
+  /// stamps it). A top-k or threshold query reads only the signature's
+  /// vector at the addressed space's ordinal.
   Result<QueryResponse> Query(const ShapeSignature& query,
                               const QueryRequest& request) const;
 
@@ -252,79 +244,7 @@ class SearchEngine {
   /// match the feature dim. Mutates the engine: only valid on an engine the
   /// caller exclusively owns, never on one published in a snapshot (use
   /// QueryRequest::weights there).
-  Status SetWeights(FeatureKind kind, const std::vector<double>& weights);
   Status SetWeights(int ordinal, const std::vector<double>& weights);
-
-  /// Top-k most similar shapes to a raw (unstandardized) query feature
-  /// vector, ascending by distance. The query need not be a database shape.
-  /// Every query entry point below exists in three addressing forms: by
-  /// legacy FeatureKind (canonical spaces), by registry ordinal, and by
-  /// space id (any registered space; unknown ids fail InvalidArgument).
-  Result<std::vector<SearchResult>> QueryTopK(
-      const std::vector<double>& raw_feature, FeatureKind kind, size_t k,
-      QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryTopK(
-      const std::vector<double>& raw_feature, int ordinal, size_t k,
-      QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryTopK(
-      const std::vector<double>& raw_feature, const std::string& space_id,
-      size_t k, QueryStats* stats = nullptr) const;
-
-  /// Like QueryTopK but with caller-supplied per-dimension weights instead
-  /// of the space's installed ones — the lock-free form of weight
-  /// reconfiguration (similarities are still normalized by the installed
-  /// d_max). Weights must match the feature dim and be non-negative.
-  Result<std::vector<SearchResult>> QueryTopKWeighted(
-      const std::vector<double>& raw_feature, FeatureKind kind, size_t k,
-      const std::vector<double>& weights, QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryTopKWeighted(
-      const std::vector<double>& raw_feature, int ordinal, size_t k,
-      const std::vector<double>& weights, QueryStats* stats = nullptr) const;
-
-  /// All shapes with similarity >= `min_similarity` (the paper's
-  /// threshold-filter workflow of Figure 7), ascending by distance.
-  Result<std::vector<SearchResult>> QueryThreshold(
-      const std::vector<double>& raw_feature, FeatureKind kind,
-      double min_similarity, QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryThreshold(
-      const std::vector<double>& raw_feature, int ordinal,
-      double min_similarity, QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryThreshold(
-      const std::vector<double>& raw_feature, const std::string& space_id,
-      double min_similarity, QueryStats* stats = nullptr) const;
-
-  /// Threshold query with caller-supplied weights (see QueryTopKWeighted).
-  Result<std::vector<SearchResult>> QueryThresholdWeighted(
-      const std::vector<double>& raw_feature, FeatureKind kind,
-      double min_similarity, const std::vector<double>& weights,
-      QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryThresholdWeighted(
-      const std::vector<double>& raw_feature, int ordinal,
-      double min_similarity, const std::vector<double>& weights,
-      QueryStats* stats = nullptr) const;
-
-  /// Query by a database shape's own feature vector. If `exclude_query`,
-  /// the query shape itself is dropped from the results (the paper does not
-  /// count the query, "because it is guaranteed to be retrieved").
-  Result<std::vector<SearchResult>> QueryByIdTopK(
-      int query_id, FeatureKind kind, size_t k, bool exclude_query = true,
-      QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryByIdTopK(
-      int query_id, int ordinal, size_t k, bool exclude_query = true,
-      QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryByIdTopK(
-      int query_id, const std::string& space_id, size_t k,
-      bool exclude_query = true, QueryStats* stats = nullptr) const;
-
-  Result<std::vector<SearchResult>> QueryByIdThreshold(
-      int query_id, FeatureKind kind, double min_similarity,
-      bool exclude_query = true, QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryByIdThreshold(
-      int query_id, int ordinal, double min_similarity,
-      bool exclude_query = true, QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryByIdThreshold(
-      int query_id, const std::string& space_id, double min_similarity,
-      bool exclude_query = true, QueryStats* stats = nullptr) const;
 
   /// Re-ranks an explicit candidate set by distance to the query in the
   /// given feature space — the second and later passes of multi-step
@@ -332,10 +252,6 @@ class SearchEngine {
   /// returns only the best `keep` results (partial selection instead of a
   /// full sort — identical to sorting and truncating, ties break by id);
   /// 0 keeps every candidate.
-  Result<std::vector<SearchResult>> Rerank(
-      const std::vector<int>& candidate_ids,
-      const std::vector<double>& raw_feature, FeatureKind kind,
-      size_t keep = 0) const;
   Result<std::vector<SearchResult>> Rerank(
       const std::vector<int>& candidate_ids,
       const std::vector<double>& raw_feature, int ordinal,
@@ -352,8 +268,21 @@ class SearchEngine {
   /// through the registry), else the legacy request.kind.
   Result<int> RequestOrdinal(const QueryRequest& request) const;
 
-  /// Shared top-k path; `weights` nullptr means the space's installed
-  /// weights.
+  /// Shared body of Query and QueryById: a null `query` means query by the
+  /// database shape `query_id`, which is excluded from its own results.
+  Result<QueryResponse> Execute(const ShapeSignature* query, int query_id,
+                                const QueryRequest& request) const;
+
+  /// The kMultiStep body of Execute (same query/query_id convention),
+  /// defined in multistep.cc: stage 1 searches the index, later stages
+  /// re-rank the survivors. Appends one StageTiming per executed stage
+  /// ("search.query_topk", then "search.rerank"), checks the deadline
+  /// before every stage, and accumulates work into response->stats.
+  Status RunPlan(const ShapeSignature* query, int query_id,
+                 const QueryRequest& request, QueryResponse* response) const;
+
+  /// Shared top-k path over a validated ordinal; `weights` nullptr means
+  /// the space's installed weights.
   Result<std::vector<SearchResult>> QueryTopKImpl(
       const std::vector<double>& raw_feature, int ordinal, size_t k,
       const std::vector<double>* weights, QueryStats* stats) const;

@@ -7,12 +7,14 @@ namespace dess {
 namespace {
 
 using testing_util::BuildSyntheticFeatureDb;
+using testing_util::Ranked;
 
 class CombinedTest : public ::testing::Test {
  protected:
   void SetUp() override {
     db_ = BuildSyntheticFeatureDb(6, 5, 8);
-    auto engine = SearchEngine::Build(&db_);
+    auto engine =
+        SearchEngine::Build(std::make_shared<const ShapeDatabase>(db_));
     ASSERT_TRUE(engine.ok());
     engine_ = std::move(*engine);
   }
@@ -67,7 +69,7 @@ TEST_F(CombinedTest, SingleFeatureWeightsMatchOneShotRanking) {
   const FeatureKind kind = FeatureKind::kPrincipalMoments;
   auto combined =
       CombinedQueryById(*engine_, 3, CombinationWeights::Only(kind), 8);
-  auto one_shot = engine_->QueryByIdTopK(3, kind, 8);
+  auto one_shot = Ranked(engine_->QueryById(3, QueryRequest::TopK(kind, 8)));
   ASSERT_TRUE(combined.ok() && one_shot.ok());
   ASSERT_EQ(combined->size(), one_shot->size());
   for (size_t i = 0; i < combined->size(); ++i) {

@@ -19,13 +19,14 @@
 #include "src/index/multidim_index.h"
 #include "src/index/signature_block.h"
 #include "src/search/combined.h"
-#include "src/search/multistep.h"
 #include "src/search/relevance_feedback.h"
 #include "src/search/search_engine.h"
 #include "tests/test_util.h"
 
 namespace dess {
 namespace {
+
+using testing_util::Ranked;
 
 std::vector<double> RandomVector(Rng* rng, size_t dim, double lo = -2.0,
                                  double hi = 2.0) {
@@ -290,7 +291,8 @@ TEST_F(BlockScanIdentityTest, TopKMatchesPerVectorReferenceEverySpace) {
   const std::vector<int> probes = {ids_[0], ids_[56], ids_[112]};
   for (int ordinal = 0; ordinal < engine_->NumSpaces(); ++ordinal) {
     for (int query_id : probes) {
-      auto got = engine_->QueryByIdTopK(query_id, ordinal, 10);
+      auto got = Ranked(engine_->QueryById(
+          query_id, QueryRequest::TopK(engine_->registry().id(ordinal), 10)));
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       const std::vector<SearchResult> want =
           ReferenceTopK(query_id, ordinal, 10);
@@ -349,7 +351,8 @@ TEST_F(BlockScanIdentityTest, MultiStepMatchesStagedReference) {
   MultiStepPlan plan = MultiStepPlan::Standard(15, 8);
   plan.stages.push_back({FeatureKind::kMomentInvariants,
                          std::string(kD2SpaceId), 5});
-  auto got = MultiStepQueryById(*engine_, query_id, plan);
+  auto got =
+      Ranked(engine_->QueryById(query_id, QueryRequest::MultiStep(plan)));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
 
   // Staged reference: per-vector top-k, then per-vector re-rank+truncate
@@ -489,8 +492,10 @@ TEST_F(BlockScanIdentityTest, RebuildFromSameSeedIsDeterministic) {
   ASSERT_TRUE(engine2.ok());
   const int query_id = ids_[7];
   for (int ordinal = 0; ordinal < engine_->NumSpaces(); ++ordinal) {
-    auto a = engine_->QueryByIdTopK(query_id, ordinal, 10);
-    auto b = (*engine2)->QueryByIdTopK(query_id, ordinal, 10);
+    const QueryRequest request =
+        QueryRequest::TopK(engine_->registry().id(ordinal), 10);
+    auto a = Ranked(engine_->QueryById(query_id, request));
+    auto b = Ranked((*engine2)->QueryById(query_id, request));
     ASSERT_TRUE(a.ok() && b.ok());
     ASSERT_EQ(a->size(), b->size());
     for (size_t i = 0; i < a->size(); ++i) {

@@ -49,7 +49,8 @@ class EvalTest : public ::testing::Test {
  protected:
   void SetUp() override {
     db_ = BuildSyntheticFeatureDb(6, 5, 6);
-    auto engine = SearchEngine::Build(&db_);
+    auto engine =
+        SearchEngine::Build(std::make_shared<const ShapeDatabase>(db_));
     ASSERT_TRUE(engine.ok());
     engine_ = std::move(*engine);
   }

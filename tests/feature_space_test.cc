@@ -18,7 +18,6 @@
 #include "src/modelgen/marching_cubes.h"
 #include "src/modelgen/part_families.h"
 #include "src/search/combined.h"
-#include "src/search/multistep.h"
 #include "src/search/relevance_feedback.h"
 #include "src/search/search_engine.h"
 #include "tests/test_util.h"
@@ -28,6 +27,7 @@ namespace {
 
 using testing_util::BuildSyntheticFeatureDb;
 using testing_util::MakeSyntheticRegistry;
+using testing_util::Ranked;
 using testing_util::SyntheticExtraSpace;
 
 FeatureSpaceDef ValidDef(const std::string& id = "custom_space",
@@ -136,8 +136,11 @@ class ExtendedEngineTest : public ::testing::Test {
 
 TEST_F(ExtendedEngineTest, ServesTheExtraSpaceByIdOrdinalAndName) {
   ASSERT_EQ(engine_->NumSpaces(), kNumFeatureKinds + 1);
-  auto by_name = engine_->QueryByIdTopK(0, std::string("synth"), 5);
-  auto by_ordinal = engine_->QueryByIdTopK(0, kNumFeatureKinds, 5);
+  auto by_name = Ranked(
+      engine_->QueryById(0, QueryRequest::TopK(std::string("synth"), 5)));
+  // The legacy `kind` field addresses a space by its registry ordinal.
+  auto by_ordinal = Ranked(engine_->QueryById(
+      0, QueryRequest::TopK(static_cast<FeatureKind>(kNumFeatureKinds), 5)));
   ASSERT_TRUE(by_name.ok()) << by_name.status().ToString();
   ASSERT_TRUE(by_ordinal.ok());
   ASSERT_EQ(by_name->size(), by_ordinal->size());
@@ -182,7 +185,8 @@ TEST_F(ExtendedEngineTest, ExtraSpaceWorksInEveryQueryMode) {
       CombinationWeights::Only(kNumFeatureKinds, engine_->NumSpaces()), 4);
   ASSERT_TRUE(only_extra.ok());
   // Only-extra combined search must agree with the one-shot ranking.
-  auto one_shot = engine_->QueryByIdTopK(1, kNumFeatureKinds, 4);
+  auto one_shot = Ranked(
+      engine_->QueryById(1, QueryRequest::TopK(std::string("synth"), 4)));
   ASSERT_TRUE(one_shot.ok());
   for (size_t i = 0; i < only_extra->size(); ++i) {
     EXPECT_EQ((*only_extra)[i].id, (*one_shot)[i].id) << i;
@@ -249,8 +253,8 @@ TEST(FeatureSpaceDeterminismTest,
   ASSERT_TRUE(engine4.ok() && engine5.ok());
 
   for (FeatureKind kind : AllFeatureKinds()) {
-    auto r4 = (*engine4)->QueryByIdTopK(0, kind, 8);
-    auto r5 = (*engine5)->QueryByIdTopK(0, kind, 8);
+    auto r4 = Ranked((*engine4)->QueryById(0, QueryRequest::TopK(kind, 8)));
+    auto r5 = Ranked((*engine5)->QueryById(0, QueryRequest::TopK(kind, 8)));
     ASSERT_TRUE(r4.ok() && r5.ok());
     ASSERT_EQ(r4->size(), r5->size());
     for (size_t i = 0; i < r4->size(); ++i) {
@@ -307,6 +311,13 @@ TEST(ShapeDistributionTest, D2RegistersThroughPublicApiEndToEnd) {
                     .ok());
   }
   ASSERT_TRUE(system.Commit().ok());
+
+  // D2 pins itself to the linear scan: its per-space backend id outranks
+  // the engine-wide R-tree default.
+  auto snapshot = system.CurrentSnapshot();
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ((*snapshot)->engine().BackendIdAt(kNumFeatureKinds),
+            kLinearScanBackendId);
 
   // Every ingested signature carries the fifth feature.
   for (const ShapeRecord& rec : system.db().records()) {

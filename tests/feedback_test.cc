@@ -8,6 +8,8 @@ namespace dess {
 namespace {
 
 using testing_util::BuildSyntheticFeatureDb;
+using testing_util::ProbeAt;
+using testing_util::Ranked;
 
 class FeedbackTest : public ::testing::Test {
  protected:
@@ -15,7 +17,8 @@ class FeedbackTest : public ::testing::Test {
     // Looser groups so there is room for feedback to help.
     db_ = BuildSyntheticFeatureDb(6, 6, 8, /*seed=*/321,
                                   /*within_spread=*/0.25);
-    auto engine = SearchEngine::Build(&db_);
+    auto engine =
+        SearchEngine::Build(std::make_shared<const ShapeDatabase>(db_));
     ASSERT_TRUE(engine.ok());
     engine_ = std::move(*engine);
   }
@@ -29,7 +32,7 @@ TEST_F(FeedbackTest, ReconstructMovesTowardRelevant) {
   ASSERT_TRUE(q.ok());
   Feedback fb;
   fb.relevant_ids = {1, 2};
-  auto q2 = ReconstructQuery(*engine_, kind, *q, fb);
+  auto q2 = ReconstructQuery(*engine_, static_cast<int>(kind), *q, fb);
   ASSERT_TRUE(q2.ok());
   // Mean of relevant features.
   auto f1 = db_.Feature(1, kind);
@@ -49,7 +52,7 @@ TEST_F(FeedbackTest, ReconstructPushesAwayFromIrrelevant) {
   ASSERT_TRUE(q.ok());
   Feedback fb;
   fb.irrelevant_ids = {30, 31};
-  auto q2 = ReconstructQuery(*engine_, kind, *q, fb);
+  auto q2 = ReconstructQuery(*engine_, static_cast<int>(kind), *q, fb);
   ASSERT_TRUE(q2.ok());
   // Query must have moved.
   double moved = 0.0;
@@ -63,7 +66,8 @@ TEST_F(FeedbackTest, ReconstructEmptyFeedbackIsIdentity) {
   const FeatureKind kind = FeatureKind::kSpectral;
   auto q = db_.Feature(3, kind);
   ASSERT_TRUE(q.ok());
-  auto q2 = ReconstructQuery(*engine_, kind, *q, Feedback{});
+  auto q2 =
+      ReconstructQuery(*engine_, static_cast<int>(kind), *q, Feedback{});
   ASSERT_TRUE(q2.ok());
   for (size_t d = 0; d < q->size(); ++d) {
     EXPECT_NEAR((*q2)[d], (*q)[d], 1e-12);
@@ -71,7 +75,8 @@ TEST_F(FeedbackTest, ReconstructEmptyFeedbackIsIdentity) {
 }
 
 TEST_F(FeedbackTest, ReconstructRejectsDimensionMismatch) {
-  EXPECT_FALSE(ReconstructQuery(*engine_, FeatureKind::kSpectral,
+  EXPECT_FALSE(ReconstructQuery(*engine_,
+                                static_cast<int>(FeatureKind::kSpectral),
                                 {1.0, 2.0}, Feedback{})
                    .ok());
 }
@@ -80,7 +85,7 @@ TEST_F(FeedbackTest, WeightsNeedTwoRelevantShapes) {
   const FeatureKind kind = FeatureKind::kPrincipalMoments;
   Feedback fb;
   fb.relevant_ids = {1};
-  auto w = ReconfigureWeights(*engine_, kind, fb);
+  auto w = ReconfigureWeights(*engine_, static_cast<int>(kind), fb);
   ASSERT_TRUE(w.ok());
   // Unchanged (all ones).
   for (double v : *w) EXPECT_DOUBLE_EQ(v, 1.0);
@@ -90,7 +95,7 @@ TEST_F(FeedbackTest, WeightsNormalizedToMeanOne) {
   const FeatureKind kind = FeatureKind::kPrincipalMoments;
   Feedback fb;
   fb.relevant_ids = {1, 2, 3, 4};
-  auto w = ReconfigureWeights(*engine_, kind, fb);
+  auto w = ReconfigureWeights(*engine_, static_cast<int>(kind), fb);
   ASSERT_TRUE(w.ok());
   double sum = 0.0;
   for (double v : *w) {
@@ -123,11 +128,12 @@ TEST_F(FeedbackTest, AgreementDimensionGetsHigherWeight) {
   add(1.0, 2.0);
   add(5.0, 0.1);  // outsider to give dim 0 database variance
   add(-5.0, -0.1);
-  auto engine = SearchEngine::Build(&db);
+  auto engine = SearchEngine::Build(std::make_shared<const ShapeDatabase>(db));
   ASSERT_TRUE(engine.ok());
   Feedback fb;
   fb.relevant_ids = {0, 1, 2, 3};
-  auto w = ReconfigureWeights(**engine, FeatureKind::kPrincipalMoments, fb);
+  auto w = ReconfigureWeights(
+      **engine, static_cast<int>(FeatureKind::kPrincipalMoments), fb);
   ASSERT_TRUE(w.ok());
   EXPECT_GT((*w)[0], (*w)[1]);
 }
@@ -141,7 +147,8 @@ TEST_F(FeedbackTest, FeedbackRoundImprovesRecallForNoisyQuery) {
   auto q = db_.Feature(query, kind);
   ASSERT_TRUE(q.ok());
 
-  auto first = engine_->QueryTopK(*q, kind, 8);
+  auto first = Ranked(engine_->Query(ProbeAt(static_cast<int>(kind), *q),
+                                     QueryRequest::TopK(kind, 8)));
   ASSERT_TRUE(first.ok());
   int hits_before = 0;
   Feedback fb;
@@ -158,8 +165,8 @@ TEST_F(FeedbackTest, FeedbackRoundImprovesRecallForNoisyQuery) {
 
   std::vector<double> mutable_q = *q;
   std::vector<double> session_weights;
-  auto second =
-      FeedbackRound(*engine_, kind, &mutable_q, &session_weights, fb, 8);
+  auto second = FeedbackRound(*engine_, static_cast<int>(kind), &mutable_q,
+                              &session_weights, fb, 8);
   ASSERT_TRUE(second.ok());
   int hits_after = 0;
   for (const SearchResult& r : *second) {

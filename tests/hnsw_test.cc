@@ -23,6 +23,7 @@ namespace dess {
 namespace {
 
 using testing_util::BuildSyntheticFeatureDb;
+using testing_util::Ranked;
 using testing_util::SyntheticExtraSpace;
 
 SignatureBlock RandomBlock(size_t n, int dim, uint64_t seed) {
@@ -80,11 +81,11 @@ TEST(HnswTest, EngineBuildDeterministicAcrossPools) {
   // The engine clears the borrowed pool from its stored options.
   EXPECT_EQ((*parallel)->options().build_pool, nullptr);
 
+  const QueryRequest request =
+      QueryRequest::TopK((*serial)->registry().id(kNumFeatureKinds), 10);
   for (const ShapeRecord& rec : db->records()) {
-    const std::vector<double>& q =
-        rec.signature.At(kNumFeatureKinds).values;
-    auto a = (*serial)->QueryTopK(q, kNumFeatureKinds, 10);
-    auto b = (*parallel)->QueryTopK(q, kNumFeatureKinds, 10);
+    auto a = Ranked((*serial)->Query(rec.signature, request));
+    auto b = Ranked((*parallel)->Query(rec.signature, request));
     ASSERT_TRUE(a.ok() && b.ok());
     ASSERT_EQ(*a, *b);
   }
@@ -135,11 +136,11 @@ TEST(HnswTest, ApproximateResultsAreExactlyRescored) {
   auto ann = SearchEngine::Build(db, ann_opt);
   ASSERT_TRUE(ann.ok());
 
-  const std::vector<double>& q =
-      (*db->Get(5))->signature.At(kNumFeatureKinds).values;
-  auto approx = (*ann)->QueryTopK(q, kNumFeatureKinds, 8);
+  const ShapeSignature& q = (*db->Get(5))->signature;
+  const std::string& space = (*ann)->registry().id(kNumFeatureKinds);
+  auto approx = Ranked((*ann)->Query(q, QueryRequest::TopK(space, 8)));
   ASSERT_TRUE(approx.ok());
-  auto truth = (*ann)->QueryThreshold(q, kNumFeatureKinds, 0.0);
+  auto truth = Ranked((*ann)->Query(q, QueryRequest::Threshold(space, 0.0)));
   ASSERT_TRUE(truth.ok());  // threshold falls back to an exact full scan
   for (const SearchResult& r : *approx) {
     bool found = false;

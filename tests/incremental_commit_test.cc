@@ -101,10 +101,11 @@ void ExpectBitIdenticalAcrossAllModes(const SystemSnapshot& layered,
   std::vector<double> raw_a = (*probe)->signature.Get(kind).values;
   std::vector<double> raw_b = raw_a;
   std::vector<double> weights_a, weights_b;
-  auto round_a = FeedbackRound(layered.engine(), kind, &raw_a, &weights_a,
+  const int ordinal = static_cast<int>(kind);
+  auto round_a = FeedbackRound(layered.engine(), ordinal, &raw_a, &weights_a,
                                feedback, 8);
   auto round_b =
-      FeedbackRound(full.engine(), kind, &raw_b, &weights_b, feedback, 8);
+      FeedbackRound(full.engine(), ordinal, &raw_b, &weights_b, feedback, 8);
   ASSERT_TRUE(round_a.ok()) << round_a.status().ToString();
   ASSERT_TRUE(round_b.ok()) << round_b.status().ToString();
   EXPECT_EQ(raw_a, raw_b);

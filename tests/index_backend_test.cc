@@ -15,7 +15,6 @@
 #include "src/common/metrics.h"
 #include "src/index/index_backend.h"
 #include "src/index/linear_scan.h"
-#include "src/search/multistep.h"
 #include "src/search/search_engine.h"
 #include "tests/test_util.h"
 
@@ -23,6 +22,7 @@ namespace dess {
 namespace {
 
 using testing_util::BuildSyntheticFeatureDb;
+using testing_util::Ranked;
 
 TEST(IndexBackendRegistryTest, SeededWithBuiltIns) {
   IndexBackendRegistry registry;
@@ -144,11 +144,12 @@ TEST(IndexBackendRegistryTest, CustomBackendServesQueriesAndMetrics) {
   auto scan = SearchEngine::Build(db, scan_opt);
   ASSERT_TRUE(scan.ok());
 
-  const std::vector<double>& q =
-      (*db->Get(0))->signature.At(0).values;
+  const ShapeSignature& q = (*db->Get(0))->signature;
+  const QueryRequest request =
+      QueryRequest::TopK((*mirror)->registry().id(0), 5);
   MetricsRegistry::Global()->Reset();
-  auto got = (*mirror)->QueryTopK(q, 0, 5);
-  auto want = (*scan)->QueryTopK(q, 0, 5);
+  auto got = Ranked((*mirror)->Query(q, request));
+  auto want = Ranked((*scan)->Query(q, request));
   ASSERT_TRUE(got.ok());
   ASSERT_TRUE(want.ok());
   EXPECT_EQ(*got, *want);
@@ -192,35 +193,41 @@ TEST_P(ExactBackendParityTest, BitIdenticalToEnumSelection) {
 
   const size_t all = db->NumShapes();
   for (int ordinal = 0; ordinal < (*enum_engine)->NumSpaces(); ++ordinal) {
-    const std::vector<double>& q =
-        (*db->Get(1))->signature.At(ordinal).values;
+    const ShapeSignature& q = (*db->Get(1))->signature;
+    const std::string& space = (*enum_engine)->registry().id(ordinal);
 
-    auto a = (*enum_engine)->QueryTopK(q, ordinal, all);
-    auto b = (*string_engine)->QueryTopK(q, ordinal, all);
+    auto a = Ranked((*enum_engine)->Query(q, QueryRequest::TopK(space, all)));
+    auto b =
+        Ranked((*string_engine)->Query(q, QueryRequest::TopK(space, all)));
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(*a, *b) << "QueryTopK space " << ordinal;
 
-    auto at = (*enum_engine)->QueryThreshold(q, ordinal, 0.5);
-    auto bt = (*string_engine)->QueryThreshold(q, ordinal, 0.5);
+    auto at =
+        Ranked((*enum_engine)->Query(q, QueryRequest::Threshold(space, 0.5)));
+    auto bt = Ranked(
+        (*string_engine)->Query(q, QueryRequest::Threshold(space, 0.5)));
     ASSERT_TRUE(at.ok() && bt.ok());
     EXPECT_EQ(*at, *bt) << "QueryThreshold space " << ordinal;
 
-    std::vector<double> w((*enum_engine)->SpaceAt(ordinal).weights.size(),
-                          2.0);
-    auto aw = (*enum_engine)->QueryTopKWeighted(q, ordinal, 7, w);
-    auto bw = (*string_engine)->QueryTopKWeighted(q, ordinal, 7, w);
+    QueryRequest weighted = QueryRequest::TopK(space, 7);
+    weighted.weights.assign((*enum_engine)->SpaceAt(ordinal).weights.size(),
+                            2.0);
+    auto aw = Ranked((*enum_engine)->Query(q, weighted));
+    auto bw = Ranked((*string_engine)->Query(q, weighted));
     ASSERT_TRUE(aw.ok() && bw.ok());
     EXPECT_EQ(*aw, *bw) << "QueryTopKWeighted space " << ordinal;
 
-    auto ai = (*enum_engine)->QueryByIdTopK(2, ordinal, 5);
-    auto bi = (*string_engine)->QueryByIdTopK(2, ordinal, 5);
+    auto ai =
+        Ranked((*enum_engine)->QueryById(2, QueryRequest::TopK(space, 5)));
+    auto bi =
+        Ranked((*string_engine)->QueryById(2, QueryRequest::TopK(space, 5)));
     ASSERT_TRUE(ai.ok() && bi.ok());
     EXPECT_EQ(*ai, *bi) << "QueryByIdTopK space " << ordinal;
   }
 
-  auto am = MultiStepQueryById(**enum_engine, 3, MultiStepPlan::Standard());
-  auto bm = MultiStepQueryById(**string_engine, 3,
-                               MultiStepPlan::Standard());
+  const QueryRequest plan = QueryRequest::MultiStep(MultiStepPlan::Standard());
+  auto am = Ranked((*enum_engine)->QueryById(3, plan));
+  auto bm = Ranked((*string_engine)->QueryById(3, plan));
   ASSERT_TRUE(am.ok() && bm.ok());
   EXPECT_EQ(*am, *bm) << "MultiStepQueryById";
 }

@@ -8,6 +8,7 @@
 #include "src/core/system.h"
 #include "src/eval/experiments.h"
 #include "src/modelgen/dataset.h"
+#include "tests/test_util.h"
 
 namespace dess {
 namespace {
@@ -54,8 +55,8 @@ TEST_F(IntegrationTest, RetrievalBeatsChanceOnMomentFeatures) {
   for (const ShapeRecord& rec : system_->db().records()) {
     if (rec.group == kUngrouped) continue;
     ++queries;
-    auto results = (*snapshot)->engine().QueryByIdTopK(
-        rec.id, FeatureKind::kPrincipalMoments, 3);
+    auto results = testing_util::Ranked((*snapshot)->engine().QueryById(
+        rec.id, QueryRequest::TopK(FeatureKind::kPrincipalMoments, 3)));
     ASSERT_TRUE(results.ok());
     for (const SearchResult& r : *results) {
       auto other = system_->db().Get(r.id);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 
 #include "src/core/system.h"
 #include "tests/test_util.h"
@@ -171,6 +172,29 @@ TEST_F(QueryApiTest, PerRequestWeightsMatchInstalledWeights) {
   for (size_t i = 0; i < a->results.size(); ++i) {
     EXPECT_TRUE(a->results[i] == b->results[i]) << "rank " << i;
   }
+}
+
+TEST_F(QueryApiTest, ByIdTopKSaturatesHugeKAndHonorsZero) {
+  // A wire k is a raw u64: SIZE_MAX must mean "every other shape" rather
+  // than wrap the by-id over-fetch (k + 1, for the excluded query) to 0,
+  // and k = 0 must return nothing.
+  ASSERT_TRUE(system_->Commit().ok());
+  const FeatureKind kind = FeatureKind::kPrincipalMoments;
+  auto huge = system_->QueryByShapeId(
+      0, QueryRequest::TopK(kind, std::numeric_limits<size_t>::max()));
+  auto all =
+      system_->QueryByShapeId(0, QueryRequest::TopK(kind, db_.NumShapes()));
+  ASSERT_TRUE(huge.ok()) << huge.status().ToString();
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->results.size(), db_.NumShapes() - 1);
+  ASSERT_EQ(huge->results.size(), all->results.size());
+  for (size_t i = 0; i < all->results.size(); ++i) {
+    EXPECT_TRUE(huge->results[i] == all->results[i]) << "rank " << i;
+  }
+
+  auto none = system_->QueryByShapeId(0, QueryRequest::TopK(kind, 0));
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_TRUE(none->results.empty());
 }
 
 TEST_F(QueryApiTest, ThresholdModeHonorsFloor) {

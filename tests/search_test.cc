@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <unistd.h>
 
-#include "src/search/multistep.h"
 #include "src/search/search_engine.h"
 #include "tests/test_util.h"
 
@@ -12,12 +11,18 @@ namespace dess {
 namespace {
 
 using testing_util::BuildSyntheticFeatureDb;
+using testing_util::ProbeAt;
+using testing_util::Ranked;
+
+constexpr int kPrincipal = static_cast<int>(FeatureKind::kPrincipalMoments);
+constexpr int kGeometric = static_cast<int>(FeatureKind::kGeometricParams);
 
 class SearchEngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
     db_ = BuildSyntheticFeatureDb(8, 5, 10);
-    auto engine = SearchEngine::Build(&db_);
+    auto engine =
+        SearchEngine::Build(std::make_shared<const ShapeDatabase>(db_));
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     engine_ = std::move(*engine);
   }
@@ -27,17 +32,17 @@ class SearchEngineTest : public ::testing::Test {
 
 TEST_F(SearchEngineTest, BuildRejectsEmptyDb) {
   ShapeDatabase empty;
-  EXPECT_FALSE(SearchEngine::Build(&empty).ok());
   EXPECT_FALSE(
-      SearchEngine::Build(static_cast<const ShapeDatabase*>(nullptr)).ok());
+      SearchEngine::Build(std::make_shared<const ShapeDatabase>(empty)).ok());
+  EXPECT_FALSE(SearchEngine::Build(nullptr).ok());
 }
 
 TEST_F(SearchEngineTest, QueryByIdFindsGroupMembersFirst) {
   // With tight groups, the top-(group_size-1) results for any member are
   // its group mates.
   for (int q : {0, 5, 17}) {
-    auto results = engine_->QueryByIdTopK(q, FeatureKind::kPrincipalMoments,
-                                          4);
+    auto results = Ranked(engine_->QueryById(
+        q, QueryRequest::TopK(FeatureKind::kPrincipalMoments, 4)));
     ASSERT_TRUE(results.ok());
     ASSERT_EQ(results->size(), 4u);
     auto qrec = db_.Get(q);
@@ -52,8 +57,8 @@ TEST_F(SearchEngineTest, QueryByIdFindsGroupMembersFirst) {
 }
 
 TEST_F(SearchEngineTest, ResultsSortedAscendingByDistance) {
-  auto results =
-      engine_->QueryByIdTopK(3, FeatureKind::kMomentInvariants, 20);
+  auto results = Ranked(engine_->QueryById(
+      3, QueryRequest::TopK(FeatureKind::kMomentInvariants, 20)));
   ASSERT_TRUE(results.ok());
   for (size_t i = 1; i < results->size(); ++i) {
     EXPECT_LE((*results)[i - 1].distance, (*results)[i].distance);
@@ -61,7 +66,8 @@ TEST_F(SearchEngineTest, ResultsSortedAscendingByDistance) {
 }
 
 TEST_F(SearchEngineTest, SimilarityInUnitRangeAndMonotone) {
-  auto results = engine_->QueryByIdTopK(0, FeatureKind::kSpectral, 30);
+  auto results = Ranked(
+      engine_->QueryById(0, QueryRequest::TopK(FeatureKind::kSpectral, 30)));
   ASSERT_TRUE(results.ok());
   for (size_t i = 0; i < results->size(); ++i) {
     EXPECT_GE((*results)[i].similarity, 0.0);
@@ -75,11 +81,11 @@ TEST_F(SearchEngineTest, SimilarityInUnitRangeAndMonotone) {
 TEST_F(SearchEngineTest, ThresholdQueryEquivalence) {
   // Threshold query returns exactly the shapes whose similarity >= t.
   const double t = 0.8;
-  auto thresh =
-      engine_->QueryByIdThreshold(2, FeatureKind::kGeometricParams, t);
+  auto thresh = Ranked(engine_->QueryById(
+      2, QueryRequest::Threshold(FeatureKind::kGeometricParams, t)));
   ASSERT_TRUE(thresh.ok());
-  auto all = engine_->QueryByIdTopK(2, FeatureKind::kGeometricParams,
-                                    db_.NumShapes());
+  auto all = Ranked(engine_->QueryById(
+      2, QueryRequest::TopK(FeatureKind::kGeometricParams, db_.NumShapes())));
   ASSERT_TRUE(all.ok());
   std::set<int> expected;
   for (const SearchResult& r : *all) {
@@ -91,27 +97,37 @@ TEST_F(SearchEngineTest, ThresholdQueryEquivalence) {
 }
 
 TEST_F(SearchEngineTest, ThresholdZeroReturnsWholeDatabase) {
-  auto results =
-      engine_->QueryByIdThreshold(0, FeatureKind::kPrincipalMoments, 0.0);
+  auto results = Ranked(engine_->QueryById(
+      0, QueryRequest::Threshold(FeatureKind::kPrincipalMoments, 0.0)));
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results->size(), db_.NumShapes() - 1);  // minus the query
 }
 
 TEST_F(SearchEngineTest, QueryDimensionMismatchRejected) {
-  EXPECT_FALSE(
-      engine_->QueryTopK({1.0, 2.0}, FeatureKind::kSpectral, 3).ok());
   EXPECT_FALSE(engine_
-                   ->QueryThreshold({1.0}, FeatureKind::kPrincipalMoments,
-                                    0.5)
+                   ->Query(ProbeAt(static_cast<int>(FeatureKind::kSpectral),
+                                   {1.0, 2.0}),
+                           QueryRequest::TopK(FeatureKind::kSpectral, 3))
                    .ok());
+  EXPECT_FALSE(
+      engine_
+          ->Query(ProbeAt(kPrincipal, {1.0}),
+                  QueryRequest::Threshold(FeatureKind::kPrincipalMoments, 0.5))
+          .ok());
 }
 
 TEST_F(SearchEngineTest, BadThresholdRejected) {
   std::vector<double> q(FeatureDim(FeatureKind::kPrincipalMoments), 0.0);
   EXPECT_FALSE(
-      engine_->QueryThreshold(q, FeatureKind::kPrincipalMoments, 1.5).ok());
+      engine_
+          ->Query(ProbeAt(kPrincipal, q),
+                  QueryRequest::Threshold(FeatureKind::kPrincipalMoments, 1.5))
+          .ok());
   EXPECT_FALSE(
-      engine_->QueryThreshold(q, FeatureKind::kPrincipalMoments, -0.1).ok());
+      engine_
+          ->Query(ProbeAt(kPrincipal, q),
+                  QueryRequest::Threshold(FeatureKind::kPrincipalMoments, -0.1))
+          .ok());
 }
 
 TEST_F(SearchEngineTest, ExternalQueryVectorWorks) {
@@ -119,7 +135,9 @@ TEST_F(SearchEngineTest, ExternalQueryVectorWorks) {
   // shape 0 comes back at distance ~0.
   auto f = db_.Feature(0, FeatureKind::kPrincipalMoments);
   ASSERT_TRUE(f.ok());
-  auto results = engine_->QueryTopK(*f, FeatureKind::kPrincipalMoments, 1);
+  auto results = Ranked(
+      engine_->Query(ProbeAt(kPrincipal, *f),
+                     QueryRequest::TopK(FeatureKind::kPrincipalMoments, 1)));
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), 1u);
   EXPECT_EQ((*results)[0].id, 0);
@@ -130,11 +148,13 @@ TEST_F(SearchEngineTest, ExternalQueryVectorWorks) {
 TEST_F(SearchEngineTest, RtreeAndScanGiveIdenticalResults) {
   SearchEngineOptions scan_opt;
   scan_opt.use_rtree = false;
-  auto scan_engine = SearchEngine::Build(&db_, scan_opt);
+  auto scan_engine =
+      SearchEngine::Build(std::make_shared<const ShapeDatabase>(db_), scan_opt);
   ASSERT_TRUE(scan_engine.ok());
   for (FeatureKind kind : AllFeatureKinds()) {
-    auto a = engine_->QueryByIdTopK(7, kind, 12);
-    auto b = (*scan_engine)->QueryByIdTopK(7, kind, 12);
+    auto a = Ranked(engine_->QueryById(7, QueryRequest::TopK(kind, 12)));
+    auto b =
+        Ranked((*scan_engine)->QueryById(7, QueryRequest::TopK(kind, 12)));
     ASSERT_TRUE(a.ok() && b.ok());
     ASSERT_EQ(a->size(), b->size());
     for (size_t i = 0; i < a->size(); ++i) {
@@ -146,12 +166,13 @@ TEST_F(SearchEngineTest, RtreeAndScanGiveIdenticalResults) {
 
 TEST_F(SearchEngineTest, SetWeightsChangesRanking) {
   std::vector<double> w(FeatureDim(FeatureKind::kPrincipalMoments), 1.0);
-  ASSERT_TRUE(engine_->SetWeights(FeatureKind::kPrincipalMoments, w).ok());
-  auto before =
-      engine_->QueryByIdTopK(0, FeatureKind::kPrincipalMoments, 10);
+  ASSERT_TRUE(engine_->SetWeights(kPrincipal, w).ok());
+  auto before = Ranked(engine_->QueryById(
+      0, QueryRequest::TopK(FeatureKind::kPrincipalMoments, 10)));
   w = {100.0, 0.01, 0.01};
-  ASSERT_TRUE(engine_->SetWeights(FeatureKind::kPrincipalMoments, w).ok());
-  auto after = engine_->QueryByIdTopK(0, FeatureKind::kPrincipalMoments, 10);
+  ASSERT_TRUE(engine_->SetWeights(kPrincipal, w).ok());
+  auto after = Ranked(engine_->QueryById(
+      0, QueryRequest::TopK(FeatureKind::kPrincipalMoments, 10)));
   ASSERT_TRUE(before.ok() && after.ok());
   // Distances must change under the new metric.
   bool any_diff = false;
@@ -165,20 +186,15 @@ TEST_F(SearchEngineTest, SetWeightsChangesRanking) {
 }
 
 TEST_F(SearchEngineTest, SetWeightsValidation) {
-  EXPECT_FALSE(
-      engine_->SetWeights(FeatureKind::kPrincipalMoments, {1.0}).ok());
-  EXPECT_FALSE(engine_
-                   ->SetWeights(FeatureKind::kPrincipalMoments,
-                                {1.0, -2.0, 1.0})
-                   .ok());
+  EXPECT_FALSE(engine_->SetWeights(kPrincipal, {1.0}).ok());
+  EXPECT_FALSE(engine_->SetWeights(kPrincipal, {1.0, -2.0, 1.0}).ok());
 }
 
 TEST_F(SearchEngineTest, RerankOrdersCandidatesByOtherFeature) {
   auto f = db_.Feature(0, FeatureKind::kGeometricParams);
   ASSERT_TRUE(f.ok());
   std::vector<int> candidates{10, 20, 30, 1, 2};
-  auto reranked =
-      engine_->Rerank(candidates, *f, FeatureKind::kGeometricParams);
+  auto reranked = engine_->Rerank(candidates, *f, kGeometric);
   ASSERT_TRUE(reranked.ok());
   ASSERT_EQ(reranked->size(), candidates.size());
   for (size_t i = 1; i < reranked->size(); ++i) {
@@ -191,17 +207,16 @@ TEST_F(SearchEngineTest, RerankOrdersCandidatesByOtherFeature) {
 TEST_F(SearchEngineTest, RerankUnknownIdFails) {
   auto f = db_.Feature(0, FeatureKind::kGeometricParams);
   ASSERT_TRUE(f.ok());
-  EXPECT_FALSE(
-      engine_->Rerank({9999}, *f, FeatureKind::kGeometricParams).ok());
+  EXPECT_FALSE(engine_->Rerank({9999}, *f, kGeometric).ok());
 }
 
 TEST_F(SearchEngineTest, RawModeSkipsStandardization) {
   SearchEngineOptions raw_opt;
   raw_opt.standardize = false;
-  auto raw_engine = SearchEngine::Build(&db_, raw_opt);
+  auto raw_engine =
+      SearchEngine::Build(std::make_shared<const ShapeDatabase>(db_), raw_opt);
   ASSERT_TRUE(raw_engine.ok());
-  const SimilaritySpace& space =
-      (*raw_engine)->Space(FeatureKind::kPrincipalMoments);
+  const SimilaritySpace& space = (*raw_engine)->SpaceAt(kPrincipal);
   for (double m : space.stats.mean) EXPECT_DOUBLE_EQ(m, 0.0);
   for (double s : space.stats.stddev) EXPECT_DOUBLE_EQ(s, 1.0);
   // Raw distances are plain Euclidean over raw features.
@@ -217,12 +232,14 @@ TEST_F(SearchEngineTest, RawAndStandardizedModesRankConsistentlyOnTightGroups) {
   // same group mates (ordering within the group may differ).
   SearchEngineOptions raw_opt;
   raw_opt.standardize = false;
-  auto raw_engine = SearchEngine::Build(&db_, raw_opt);
+  auto raw_engine =
+      SearchEngine::Build(std::make_shared<const ShapeDatabase>(db_), raw_opt);
   ASSERT_TRUE(raw_engine.ok());
   for (int q : {0, 10, 25}) {
-    auto a = engine_->QueryByIdTopK(q, FeatureKind::kPrincipalMoments, 4);
-    auto b =
-        (*raw_engine)->QueryByIdTopK(q, FeatureKind::kPrincipalMoments, 4);
+    const QueryRequest request =
+        QueryRequest::TopK(FeatureKind::kPrincipalMoments, 4);
+    auto a = Ranked(engine_->QueryById(q, request));
+    auto b = Ranked((*raw_engine)->QueryById(q, request));
     ASSERT_TRUE(a.ok() && b.ok());
     std::set<int> sa, sb;
     for (const SearchResult& r : *a) sa.insert(r.id);
@@ -238,11 +255,13 @@ TEST_F(SearchEngineTest, DiskBackendMatchesInMemory) {
       (std::filesystem::temp_directory_path() /
        ("dess_engine_idx_" + std::to_string(::getpid())))
           .string();
-  auto disk_engine = SearchEngine::Build(&db_, disk_opt);
+  auto disk_engine =
+      SearchEngine::Build(std::make_shared<const ShapeDatabase>(db_), disk_opt);
   ASSERT_TRUE(disk_engine.ok()) << disk_engine.status().ToString();
   for (FeatureKind kind : AllFeatureKinds()) {
-    auto a = engine_->QueryByIdTopK(5, kind, 10);
-    auto b = (*disk_engine)->QueryByIdTopK(5, kind, 10);
+    auto a = Ranked(engine_->QueryById(5, QueryRequest::TopK(kind, 10)));
+    auto b =
+        Ranked((*disk_engine)->QueryById(5, QueryRequest::TopK(kind, 10)));
     ASSERT_TRUE(a.ok() && b.ok()) << FeatureKindName(kind);
     ASSERT_EQ(a->size(), b->size());
     for (size_t i = 0; i < a->size(); ++i) {
@@ -250,8 +269,10 @@ TEST_F(SearchEngineTest, DiskBackendMatchesInMemory) {
           << FeatureKindName(kind);
     }
     // Threshold queries ride the same disk index.
-    auto ta = engine_->QueryByIdThreshold(5, kind, 0.8);
-    auto tb = (*disk_engine)->QueryByIdThreshold(5, kind, 0.8);
+    auto ta =
+        Ranked(engine_->QueryById(5, QueryRequest::Threshold(kind, 0.8)));
+    auto tb = Ranked(
+        (*disk_engine)->QueryById(5, QueryRequest::Threshold(kind, 0.8)));
     ASSERT_TRUE(ta.ok() && tb.ok());
     EXPECT_EQ(ta->size(), tb->size()) << FeatureKindName(kind);
   }
@@ -285,8 +306,8 @@ TEST(SimilaritySpaceTest, EmptyInputSafe) {
 }
 
 TEST_F(SearchEngineTest, MultiStepStandardPlanRuns) {
-  auto results =
-      MultiStepQueryById(*engine_, 0, MultiStepPlan::Standard(20, 4));
+  auto results = Ranked(engine_->QueryById(
+      0, QueryRequest::MultiStep(MultiStepPlan::Standard(20, 4))));
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results->size(), 4u);
   for (const SearchResult& r : *results) EXPECT_NE(r.id, 0);
@@ -294,15 +315,15 @@ TEST_F(SearchEngineTest, MultiStepStandardPlanRuns) {
 
 TEST_F(SearchEngineTest, MultiStepEmptyPlanRejected) {
   MultiStepPlan plan;
-  EXPECT_FALSE(MultiStepQueryById(*engine_, 0, plan).ok());
+  EXPECT_FALSE(engine_->QueryById(0, QueryRequest::MultiStep(plan)).ok());
 }
 
 TEST_F(SearchEngineTest, MultiStepSubsetOfFirstStage) {
   // Every multi-step result must come from the first-stage candidates.
   MultiStepPlan plan = MultiStepPlan::Standard(15, 5);
-  auto stage1 = engine_->QueryByIdTopK(
-      3, FeatureKind::kMomentInvariants, 15);
-  auto final = MultiStepQueryById(*engine_, 3, plan);
+  auto stage1 = Ranked(engine_->QueryById(
+      3, QueryRequest::TopK(FeatureKind::kMomentInvariants, 15)));
+  auto final = Ranked(engine_->QueryById(3, QueryRequest::MultiStep(plan)));
   ASSERT_TRUE(stage1.ok() && final.ok());
   std::set<int> candidates;
   for (const SearchResult& r : *stage1) candidates.insert(r.id);
@@ -316,7 +337,7 @@ TEST_F(SearchEngineTest, MultiStepThreeStages) {
   plan.stages.push_back({FeatureKind::kPrincipalMoments, 30});
   plan.stages.push_back({FeatureKind::kMomentInvariants, 15});
   plan.stages.push_back({FeatureKind::kSpectral, 5});
-  auto results = MultiStepQueryById(*engine_, 8, plan);
+  auto results = Ranked(engine_->QueryById(8, QueryRequest::MultiStep(plan)));
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results->size(), 5u);
 }
@@ -325,13 +346,13 @@ TEST_F(SearchEngineTest, MultiStepKeepZeroMeansAllCandidates) {
   MultiStepPlan plan;
   plan.stages.push_back({FeatureKind::kPrincipalMoments, 0});  // keep all
   plan.stages.push_back({FeatureKind::kGeometricParams, 6});
-  auto results = MultiStepQueryById(*engine_, 2, plan);
+  auto results = Ranked(engine_->QueryById(2, QueryRequest::MultiStep(plan)));
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results->size(), 6u);
   // With an all-pass first stage, the result equals a one-shot search on
   // the second feature.
-  auto one_shot =
-      engine_->QueryByIdTopK(2, FeatureKind::kGeometricParams, 6);
+  auto one_shot = Ranked(engine_->QueryById(
+      2, QueryRequest::TopK(FeatureKind::kGeometricParams, 6)));
   ASSERT_TRUE(one_shot.ok());
   for (size_t i = 0; i < results->size(); ++i) {
     EXPECT_EQ((*results)[i].id, (*one_shot)[i].id) << i;
@@ -341,8 +362,9 @@ TEST_F(SearchEngineTest, MultiStepKeepZeroMeansAllCandidates) {
 TEST_F(SearchEngineTest, MultiStepSingleStageEqualsOneShot) {
   MultiStepPlan plan;
   plan.stages.push_back({FeatureKind::kSpectral, 7});
-  auto ms = MultiStepQueryById(*engine_, 9, plan);
-  auto os = engine_->QueryByIdTopK(9, FeatureKind::kSpectral, 7);
+  auto ms = Ranked(engine_->QueryById(9, QueryRequest::MultiStep(plan)));
+  auto os = Ranked(
+      engine_->QueryById(9, QueryRequest::TopK(FeatureKind::kSpectral, 7)));
   ASSERT_TRUE(ms.ok() && os.ok());
   ASSERT_EQ(ms->size(), os->size());
   for (size_t i = 0; i < ms->size(); ++i) {
@@ -353,8 +375,9 @@ TEST_F(SearchEngineTest, MultiStepSingleStageEqualsOneShot) {
 TEST_F(SearchEngineTest, MultiStepExternalSignature) {
   auto rec = db_.Get(12);
   ASSERT_TRUE(rec.ok());
-  auto results =
-      MultiStepQuery(*engine_, (*rec)->signature, MultiStepPlan::Standard(10, 3));
+  auto results = Ranked(engine_->Query(
+      (*rec)->signature,
+      QueryRequest::MultiStep(MultiStepPlan::Standard(10, 3))));
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), 3u);
   // External query is not excluded: the shape itself may (and should) rank

@@ -200,8 +200,8 @@ TEST(SystemTest, SaveLoadRoundTrip) {
   EXPECT_TRUE((*loaded)->IsCommitted());
   auto snapshot = (*loaded)->CurrentSnapshot();
   ASSERT_TRUE(snapshot.ok());
-  auto results = (*snapshot)->engine().QueryByIdTopK(
-      0, FeatureKind::kPrincipalMoments, 2);
+  auto results = testing_util::Ranked((*snapshot)->engine().QueryById(
+      0, QueryRequest::TopK(FeatureKind::kPrincipalMoments, 2)));
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results->size(), 2u);
   std::filesystem::remove_all(dir);

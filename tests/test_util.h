@@ -10,9 +10,27 @@
 #include "src/common/rng.h"
 #include "src/db/shape_database.h"
 #include "src/features/feature_space.h"
+#include "src/search/query.h"
 
 namespace dess {
 namespace testing_util {
+
+/// The ranked results of a SearchEngine::Query/QueryById response, for
+/// tests that assert on the ranking only:
+///   Ranked(engine.QueryById(id, QueryRequest::TopK(kind, 10)))
+inline Result<std::vector<SearchResult>> Ranked(
+    Result<QueryResponse> response) {
+  if (!response.ok()) return response.status();
+  return std::move(response->results);
+}
+
+/// A query signature carrying `raw` at registry ordinal `ordinal` — the
+/// probe for querying one feature space with a free-standing vector.
+inline ShapeSignature ProbeAt(int ordinal, std::vector<double> raw) {
+  ShapeSignature probe;
+  probe.MutableAt(ordinal).values = std::move(raw);
+  return probe;
+}
 
 /// A synthetic non-canonical feature space for registry tests: id + dim,
 /// no geometry semantics. `index_backend` optionally pins the space to one
