@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # The full CI gate, runnable locally: the tier-1 suite under the `ci`
-# preset, the persistence parsers under ASan/UBSan (ctest label `persist`),
-# and the concurrent serving layer under TSan (label `tsan`). Any failing
-# step fails the script.
+# preset; under ASan/UBSan the persistence parsers (ctest label `persist`),
+# the index backends (`ann`) and feature extraction (`extract`: extractors
+# now run over partially built pipeline artifacts, so one that reads a
+# stage that never ran must fail loudly); and the concurrent serving layer
+# under TSan (label `tsan`). Any failing step fails the script.
 #
 # Usage: scripts/ci.sh [--fast]
 #   --fast   tier-1 only (skip the sanitizer passes)

@@ -390,9 +390,8 @@ Result<std::shared_ptr<const SystemSnapshot>> Dess3System::CurrentSnapshot()
 
 Result<QueryResponse> Dess3System::QueryBySignature(
     const ShapeSignature& signature, const QueryRequest& request) const {
-  // Start (or join) the request's trace here so the "system.query" span —
-  // and, for QueryByMesh, the extraction stages — belong to the trace the
-  // snapshot layer will reuse.
+  // Start (or join) the request's trace here so the "system.query" span
+  // belongs to the trace the snapshot layer will reuse.
   ScopedTraceRequest trace;
   DESS_TIMED_SCOPE("system.query");
   MetricsRegistry::Global()->AddCounter("system.queries");
@@ -404,9 +403,19 @@ Result<QueryResponse> Dess3System::QueryBySignature(
 Result<QueryResponse> Dess3System::QueryByMesh(
     const TriMesh& mesh, const QueryRequest& request) const {
   ScopedTraceRequest trace;
-  DESS_ASSIGN_OR_RETURN(ShapeSignature signature,
-                        ExtractSignature(mesh, options_.extraction));
-  return QueryBySignature(signature, request);
+  // Reject what the snapshot can reject without the probe's geometry (no
+  // commit yet, unknown space) first; then extract only the spaces the
+  // request reads, and answer on that same snapshot.
+  DESS_ASSIGN_OR_RETURN(std::shared_ptr<const SystemSnapshot> snapshot,
+                        CurrentSnapshot());
+  DESS_ASSIGN_OR_RETURN(const std::vector<int> spaces,
+                        snapshot->engine().RequestSpaces(request));
+  DESS_ASSIGN_OR_RETURN(
+      ExtractionArtifacts art,
+      ExtractFeatures(mesh, options_.extraction, spaces, request.deadline));
+  DESS_TIMED_SCOPE("system.query");
+  MetricsRegistry::Global()->AddCounter("system.queries");
+  return snapshot->Query(art.signature, request);
 }
 
 Result<QueryResponse> Dess3System::QueryByShapeId(

@@ -196,8 +196,12 @@ class Dess3System {
   const SystemOptions& options() const { return options_; }
 
   /// Query by example with an external mesh (a "CAD file" a user submits):
-  /// extracts its signature, then executes `request` against the current
-  /// snapshot. The response carries the answering snapshot's epoch.
+  /// extracts the vectors of the spaces `request` searches — running only
+  /// the pipeline stages they need — then executes `request` against the
+  /// current snapshot. The response carries the answering snapshot's
+  /// epoch. A request the snapshot rejects (no commit yet, unknown space)
+  /// fails before extraction; `request.deadline` is checked between the
+  /// extraction stages too.
   Result<QueryResponse> QueryByMesh(const TriMesh& mesh,
                                     const QueryRequest& request) const;
 

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <numeric>
+#include <string>
 
 #include "src/common/metrics.h"
+#include "src/common/strings.h"
 #include "src/features/moments.h"
 #include "src/graph/spectral.h"
 #include "src/linalg/eigen.h"
@@ -69,8 +72,126 @@ FeatureVector SpectralFeature(const SkeletalGraph& graph) {
   return fv;
 }
 
+FeatureSpaceDef CanonicalSpaceDef(FeatureKind kind) {
+  FeatureSpaceDef def;
+  def.id = CanonicalSpaceId(kind);
+  def.dim = FeatureDim(kind);
+  switch (kind) {
+    case FeatureKind::kMomentInvariants:
+      def.needs = PipelineStage::kVoxels;
+      def.extractor = [](const ExtractionArtifacts& art)
+          -> Result<FeatureVector> {
+        return MomentInvariantsFeature(art.moments.original,
+                                       art.moments.original_volume);
+      };
+      break;
+    case FeatureKind::kGeometricParams:
+      def.needs = PipelineStage::kNormalized;
+      def.extractor = [](const ExtractionArtifacts& art)
+          -> Result<FeatureVector> {
+        return GeometricParamsFeature(art.normalization);
+      };
+      break;
+    case FeatureKind::kPrincipalMoments:
+      def.needs = PipelineStage::kVoxels;
+      def.extractor = [](const ExtractionArtifacts& art)
+          -> Result<FeatureVector> {
+        return PrincipalMomentsFeature(art.moments.normalized);
+      };
+      break;
+    case FeatureKind::kSpectral:
+      def.needs = PipelineStage::kSkeleton;
+      def.extractor = [](const ExtractionArtifacts& art)
+          -> Result<FeatureVector> { return SpectralFeature(art.graph); };
+      break;
+  }
+  return def;
+}
+
+namespace {
+
+/// DeadlineExceeded when `deadline` (epoch = none) passed before `stage`.
+Status CheckStageDeadline(std::chrono::steady_clock::time_point deadline,
+                          const char* stage) {
+  if (deadline != std::chrono::steady_clock::time_point{} &&
+      std::chrono::steady_clock::now() > deadline) {
+    return Status::DeadlineExceeded(
+        std::string("extraction deadline passed before stage ") + stage);
+  }
+  return Status::OK();
+}
+
+SecondMoments ComputeSecondMoments(const ExtractionArtifacts& art,
+                                   bool voxel_moments) {
+  SecondMoments moments;
+  if (voxel_moments) {
+    moments.normalized = VoxelSecondMomentMatrix(art.voxels);
+    // The I-matrix is invariant to the normalization pose, so the voxel
+    // model of the normalized mesh is a valid stand-in for the original —
+    // but its volume must be the voxel volume for consistency.
+    moments.original = moments.normalized;
+    moments.original_volume = art.voxels.SolidVolume();
+  } else {
+    moments.original =
+        art.normalization.original_integrals.CentralSecondMoment();
+    moments.normalized =
+        ComputeMeshIntegrals(art.normalization.mesh).CentralSecondMoment();
+    moments.original_volume = art.normalization.original_volume;
+  }
+  return moments;
+}
+
+/// Runs the extractor of the space at `ordinal`. The paper's four keep
+/// their pre-registry span and histogram names (the eigenvalues space
+/// records as stage.feature.spectral); a registered space records a
+/// stage.feature.<id> latency histogram and no trace span.
+Result<FeatureVector> RunExtractor(const FeatureSpaceDef& def, int ordinal,
+                                   const ExtractionArtifacts& art) {
+  if (ordinal < kNumFeatureKinds) {
+    static constexpr const char* kStageNames[kNumFeatureKinds] = {
+        "stage.feature.moment_invariants", "stage.feature.geometric_params",
+        "stage.feature.principal_moments", "stage.feature.spectral"};
+    DESS_TIMED_SCOPE(kStageNames[ordinal]);
+    return def.extractor(art);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  Result<FeatureVector> extracted = def.extractor(art);
+  MetricsRegistry::Global()->RecordLatency(
+      "stage.feature." + def.id,
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count());
+  return extracted;
+}
+
+}  // namespace
+
 Result<ExtractionArtifacts> ExtractFeatures(const TriMesh& mesh,
                                             const ExtractionOptions& options) {
+  std::vector<int> all(RegistryOrCanonical(options.registry)->size());
+  std::iota(all.begin(), all.end(), 0);
+  return ExtractFeatures(mesh, options, all);
+}
+
+Result<ExtractionArtifacts> ExtractFeatures(
+    const TriMesh& mesh, const ExtractionOptions& options,
+    const std::vector<int>& spaces,
+    std::chrono::steady_clock::time_point deadline) {
+  const std::shared_ptr<const FeatureSpaceRegistry> registry =
+      RegistryOrCanonical(options.registry);
+  std::vector<bool> wanted(registry->size(), false);
+  PipelineStage depth = PipelineStage::kNormalized;
+  for (int ordinal : spaces) {
+    if (ordinal < 0 || ordinal >= registry->size()) {
+      return Status::InvalidArgument(
+          StrFormat("extraction: feature-space ordinal %d out of range "
+                    "[0, %d)",
+                    ordinal, registry->size()));
+    }
+    wanted[ordinal] = true;
+    depth = std::max(depth, registry->space(ordinal).needs);
+  }
+  DESS_RETURN_NOT_OK(CheckStageDeadline(deadline, "normalize"));
+
   // Forward the pipeline-level pool into the parallelizable stages unless
   // the caller already configured them individually.
   VoxelizationOptions vox_options = options.voxelization;
@@ -81,8 +202,8 @@ Result<ExtractionArtifacts> ExtractFeatures(const TriMesh& mesh,
   }
 
   // The whole-pipeline span plus per-stage spans: the inner stages
-  // (normalize / voxelize / fill / thin / graph / features) are a
-  // breakdown of "pipeline.extract", which also absorbs glue such as
+  // (normalize / voxelize / fill / moments / thin / graph / features) are
+  // a breakdown of "pipeline.extract", which also absorbs glue such as
   // largest-component selection.
   DESS_TIMED_SCOPE("pipeline.extract");
   MetricsRegistry::Global()->AddCounter("pipeline.extractions");
@@ -95,74 +216,39 @@ Result<ExtractionArtifacts> ExtractFeatures(const TriMesh& mesh,
                           NormalizeMesh(mesh, options.normalization));
   }
 
-  // Stage 2: voxelization of the normalized model (Eq. 3.5). Keep the
-  // largest component: sub-voxel gaps in thin CAD features can split the
-  // voxel model even when the solid is connected. VoxelizeMesh records
-  // the stage.voxelize / stage.fill spans internally.
-  DESS_ASSIGN_OR_RETURN(art.voxels,
-                        VoxelizeMesh(art.normalization.mesh, vox_options));
-  art.voxels = KeepLargestComponent(art.voxels);
-
-  // Stage 3: skeletonization + skeletal graph (Sections 3.3-3.4); these
-  // record stage.thin and stage.graph internally.
-  art.skeleton = ThinToSkeleton(art.voxels, thin_options);
-  art.graph = BuildSkeletalGraph(art.skeleton, options.graph);
-
-  // Stage 4: feature collection.
-  Mat3 original_mu;  // central second moments of the *original* model
-  Mat3 normalized_mu;  // central second moments of the *normalized* model
-  double original_volume = art.normalization.original_volume;
-  {
-    DESS_TIMED_SCOPE("stage.moments");
-    if (options.voxel_moments) {
-      normalized_mu = VoxelSecondMomentMatrix(art.voxels);
-      // The I-matrix is invariant to the normalization pose, so the voxel
-      // model of the normalized mesh is a valid stand-in for the original —
-      // but its volume must be the voxel volume for consistency.
-      original_mu = normalized_mu;
-      original_volume = art.voxels.SolidVolume();
-    } else {
-      original_mu = art.normalization.original_integrals.CentralSecondMoment();
-      normalized_mu =
-          ComputeMeshIntegrals(art.normalization.mesh).CentralSecondMoment();
+  if (depth >= PipelineStage::kVoxels) {
+    // Stage 2: voxelization of the normalized model (Eq. 3.5). Keep the
+    // largest component: sub-voxel gaps in thin CAD features can split the
+    // voxel model even when the solid is connected. VoxelizeMesh records
+    // the stage.voxelize / stage.fill spans internally.
+    DESS_RETURN_NOT_OK(CheckStageDeadline(deadline, "voxelize"));
+    DESS_ASSIGN_OR_RETURN(art.voxels,
+                          VoxelizeMesh(art.normalization.mesh, vox_options));
+    art.voxels = KeepLargestComponent(art.voxels);
+    {
+      DESS_TIMED_SCOPE("stage.moments");
+      art.moments = ComputeSecondMoments(art, options.voxel_moments);
     }
   }
 
-  {
-    DESS_TIMED_SCOPE("stage.feature.moment_invariants");
-    art.signature.Mutable(FeatureKind::kMomentInvariants) =
-        MomentInvariantsFeature(original_mu, original_volume);
-  }
-  {
-    DESS_TIMED_SCOPE("stage.feature.geometric_params");
-    art.signature.Mutable(FeatureKind::kGeometricParams) =
-        GeometricParamsFeature(art.normalization);
-  }
-  {
-    DESS_TIMED_SCOPE("stage.feature.principal_moments");
-    art.signature.Mutable(FeatureKind::kPrincipalMoments) =
-        PrincipalMomentsFeature(normalized_mu);
-  }
-  {
-    DESS_TIMED_SCOPE("stage.feature.spectral");
-    art.signature.Mutable(FeatureKind::kSpectral) = SpectralFeature(art.graph);
+  if (depth >= PipelineStage::kSkeleton) {
+    // Stage 3: skeletonization + skeletal graph (Sections 3.3-3.4); these
+    // record stage.thin and stage.graph internally.
+    DESS_RETURN_NOT_OK(CheckStageDeadline(deadline, "thin"));
+    art.skeleton = ThinToSkeleton(art.voxels, thin_options);
+    art.graph = BuildSkeletalGraph(art.skeleton, options.graph);
   }
 
-  // Stage 5: registered (non-canonical) feature spaces, in registry order.
-  // Canonical ordinals 0..3 were computed inline above; everything after
-  // them runs its registered extractor over the artifacts.
-  const std::shared_ptr<const FeatureSpaceRegistry> registry =
-      RegistryOrCanonical(options.registry);
-  for (int ordinal = kNumFeatureKinds; ordinal < registry->size(); ++ordinal) {
+  // Stage 4: feature collection, in registry order. Every slot carries its
+  // space's id; only the wanted ones get values.
+  DESS_RETURN_NOT_OK(CheckStageDeadline(deadline, "features"));
+  for (int ordinal = 0; ordinal < registry->size(); ++ordinal) {
     const FeatureSpaceDef& def = registry->space(ordinal);
-    // DESS_TIMED_SCOPE needs a literal name; for dynamic per-space stage
-    // names we time manually into the same histogram namespace.
-    const auto start = std::chrono::steady_clock::now();
-    Result<FeatureVector> extracted = def.extractor(art);
-    MetricsRegistry::Global()->RecordLatency(
-        "stage.feature." + def.id,
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count());
+    FeatureVector& slot = art.signature.MutableAt(ordinal);
+    slot.space = def.id;
+    slot.kind = static_cast<FeatureKind>(ordinal);
+    if (!wanted[ordinal]) continue;
+    Result<FeatureVector> extracted = RunExtractor(def, ordinal, art);
     if (!extracted.ok()) {
       return Status(extracted.status().code(),
                     "feature space '" + def.id +
@@ -174,10 +260,7 @@ Result<ExtractionArtifacts> ExtractFeatures(const TriMesh& mesh,
           std::to_string(extracted->dim()) + ", registered dim " +
           std::to_string(def.dim));
     }
-    FeatureVector& slot = art.signature.MutableAt(ordinal);
-    slot = std::move(extracted).value();
-    slot.space = def.id;
-    slot.kind = static_cast<FeatureKind>(ordinal);
+    slot.values = std::move(extracted->values);
   }
   return art;
 }

@@ -1,7 +1,9 @@
 #ifndef DESS_FEATURES_EXTRACTORS_H_
 #define DESS_FEATURES_EXTRACTORS_H_
 
+#include <chrono>
 #include <memory>
+#include <vector>
 
 #include "src/common/result.h"
 #include "src/features/feature_space.h"
@@ -10,6 +12,7 @@
 #include "src/geom/trimesh.h"
 #include "src/graph/graph_builder.h"
 #include "src/graph/skeletal_graph.h"
+#include "src/linalg/mat3.h"
 #include "src/skeleton/thinning.h"
 #include "src/voxel/voxelizer.h"
 
@@ -40,21 +43,46 @@ struct ExtractionOptions {
   std::shared_ptr<const FeatureSpaceRegistry> registry;
 };
 
+/// Central second moments of one shape, computed once per extraction for
+/// the moment-based spaces: from the voxel model when
+/// ExtractionOptions::voxel_moments is set (then both matrices coincide),
+/// from exact mesh integrals otherwise.
+struct SecondMoments {
+  Mat3 original;    // of the original (unnormalized) model
+  Mat3 normalized;  // of the normalized model
+  double original_volume = 0.0;  // the volume `original` is scaled by
+};
+
 /// All intermediate artifacts of one extraction run, exposed so tests,
-/// examples, and ablation benches can inspect each stage.
+/// examples, and ablation benches can inspect each stage. An extraction
+/// fills the artifacts up to the deepest PipelineStage its spaces need;
+/// the rest stay default-constructed (empty grids, empty graph).
 struct ExtractionArtifacts {
   NormalizationResult normalization;
   VoxelGrid voxels;    // solid voxelization of the normalized mesh
+  SecondMoments moments;
   VoxelGrid skeleton;  // thinned curve skeleton
   SkeletalGraph graph;
+  /// One slot per registered space, in registry order. Slots of spaces
+  /// the extraction did not compute are empty (dim 0).
   ShapeSignature signature;
 };
 
-/// Runs the full pipeline on a closed mesh and returns all four feature
-/// vectors plus intermediates. This is the expensive path (thinning
-/// dominates); for features-only callers see ExtractSignature.
+/// Runs the full pipeline on a closed mesh and returns every registered
+/// feature vector plus intermediates. This is the expensive path
+/// (thinning dominates); for features-only callers see ExtractSignature.
 Result<ExtractionArtifacts> ExtractFeatures(
     const TriMesh& mesh, const ExtractionOptions& options = {});
+
+/// Extracts only the spaces at the given registry ordinals (duplicates
+/// allowed), running only the stages they need. Their slots are
+/// bit-identical to a full extraction's. InvalidArgument for an ordinal
+/// outside the registry. With a `deadline` (epoch = none), fails
+/// DeadlineExceeded, naming the stage, if it passes before a stage starts.
+Result<ExtractionArtifacts> ExtractFeatures(
+    const TriMesh& mesh, const ExtractionOptions& options,
+    const std::vector<int>& spaces,
+    std::chrono::steady_clock::time_point deadline = {});
 
 /// Convenience wrapper returning only the signature.
 Result<ShapeSignature> ExtractSignature(const TriMesh& mesh,
@@ -79,6 +107,10 @@ FeatureVector PrincipalMomentsFeature(const Mat3& central_second_moments);
 
 /// Eigenvalue signature of the skeletal graph's typed adjacency matrix.
 FeatureVector SpectralFeature(const SkeletalGraph& graph);
+
+/// The registry definition of one of the paper's four spaces: its id, dim,
+/// stage dependency, and an extractor wrapping the function above.
+FeatureSpaceDef CanonicalSpaceDef(FeatureKind kind);
 
 }  // namespace dess
 

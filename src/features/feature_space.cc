@@ -1,6 +1,7 @@
 #include "src/features/feature_space.h"
 
 #include "src/common/strings.h"
+#include "src/features/extractors.h"
 
 namespace dess {
 namespace {
@@ -29,12 +30,7 @@ const std::string& CanonicalSpaceId(FeatureKind kind) {
 FeatureSpaceRegistry::FeatureSpaceRegistry() {
   spaces_.reserve(kNumFeatureKinds);
   for (FeatureKind kind : AllFeatureKinds()) {
-    FeatureSpaceDef def;
-    def.id = CanonicalSpaceId(kind);
-    def.dim = FeatureDim(kind);
-    // Canonical extractors stay null: the pipeline computes these four
-    // inline (ExtractFeatures), bit-identically to the pre-registry code.
-    spaces_.push_back(std::move(def));
+    spaces_.push_back(CanonicalSpaceDef(kind));
   }
 }
 

@@ -15,10 +15,21 @@ struct ExtractionArtifacts;
 
 /// Extractor callback of one feature space: computes the space's vector
 /// from the pipeline artifacts of one shape (normalized mesh, voxel model,
-/// skeleton, skeletal graph). Must be deterministic and thread-compatible;
-/// it may run concurrently for different shapes.
+/// skeleton, skeletal graph) up to its space's declared PipelineStage, never
+/// from `signature` (other spaces' slots may be empty). Must be
+/// deterministic and thread-compatible; it may run concurrently for
+/// different shapes.
 using FeatureExtractorFn =
     std::function<Result<FeatureVector>(const ExtractionArtifacts&)>;
+
+/// The deepest extraction-pipeline artifact an extractor reads. Stages run
+/// in this order, so each level includes the ones before it; an extraction
+/// runs only as deep as the spaces it computes need.
+enum class PipelineStage {
+  kNormalized,  // ExtractionArtifacts::normalization (the normalized mesh)
+  kVoxels,      // + voxels (solid, largest component) and moments
+  kSkeleton,    // + skeleton and graph
+};
 
 /// One feature space: the unit of extensibility of the descriptor set.
 /// The paper fixes four descriptors (Section 3.5); registering a
@@ -33,9 +44,13 @@ struct FeatureSpaceDef {
   std::string id;
   /// Dimensionality of the space's vectors.
   int dim = 0;
-  /// Computes the vector from the pipeline artifacts. Null only for the
-  /// four canonical spaces, which the pipeline computes inline.
+  /// Computes the vector from the pipeline artifacts.
   FeatureExtractorFn extractor;
+  /// Deepest artifact `extractor` reads. Artifacts past it may be left
+  /// empty when only this space (or other shallow ones) is extracted, so
+  /// the extractor must not read them. The default runs the whole
+  /// pipeline, which is always safe.
+  PipelineStage needs = PipelineStage::kSkeleton;
   /// Standardize dimensions before distances (recommended unless the
   /// space is already normalized, e.g. a probability histogram).
   bool standardize = true;

@@ -72,6 +72,7 @@ FeatureSpaceDef MakeD2SpaceDef(const D2Options& options) {
   def.id = kD2SpaceId;
   def.dim = std::max(1, options.num_bins);
   def.standardize = false;  // already a probability histogram
+  def.needs = PipelineStage::kNormalized;  // samples the normalized mesh
   def.index_backend = kLinearScanBackendId;  // an R-tree degenerates here
   def.extractor = [options](const ExtractionArtifacts& art)
       -> Result<FeatureVector> {

@@ -22,12 +22,11 @@ Status SearchEngine::RunPlan(const ShapeSignature* query, int query_id,
         "the plan's stages span several feature spaces");
   }
   const MultiStepPlan& plan = request.plan;
-  // The registry ordinal a stage addresses: `space` (id) when set, the
-  // legacy `kind` enum otherwise. Unknown ids fail InvalidArgument.
-  const auto stage_ordinal = [&](const MultiStepStage& stage) -> Result<int> {
-    if (!stage.space.empty()) return registry_->Resolve(stage.space);
-    return static_cast<int>(stage.kind);
-  };
+  // Resolve every stage before touching the database or an index, so an
+  // unknown space id or an empty plan fails InvalidArgument regardless of
+  // the query shape.
+  DESS_ASSIGN_OR_RETURN(const std::vector<int> ordinals,
+                        RequestSpaces(request));
   std::vector<std::vector<double>> query_features;
   int exclude_id = -1;
   if (query != nullptr) {
@@ -36,20 +35,12 @@ Status SearchEngine::RunPlan(const ShapeSignature* query, int query_id,
       query_features[i] = query->At(static_cast<int>(i)).values;
     }
   } else {
-    // Resolve every stage before touching the database so an unknown space
-    // id fails InvalidArgument regardless of the query shape.
-    for (const MultiStepStage& stage : plan.stages) {
-      DESS_RETURN_NOT_OK(stage_ordinal(stage).status());
-    }
     query_features.resize(NumSpaces());
     for (int ordinal = 0; ordinal < NumSpaces(); ++ordinal) {
       DESS_ASSIGN_OR_RETURN(query_features[ordinal],
                             db_->Feature(query_id, ordinal));
     }
     exclude_id = query_id;
-  }
-  if (plan.stages.empty()) {
-    return Status::InvalidArgument("multi-step: empty plan");
   }
   DESS_TIMED_SCOPE("search.multistep");
   MetricsRegistry* registry = MetricsRegistry::Global();
@@ -62,9 +53,8 @@ Status SearchEngine::RunPlan(const ShapeSignature* query, int query_id,
           std::to_string(s));
     }
     const MultiStepStage& stage = plan.stages[s];
-    DESS_ASSIGN_OR_RETURN(const int ordinal, stage_ordinal(stage));
-    if (ordinal < 0 ||
-        ordinal >= static_cast<int>(query_features.size())) {
+    const int ordinal = ordinals[s];
+    if (ordinal >= static_cast<int>(query_features.size())) {
       return Status::InvalidArgument(
           "multi-step: query carries no feature for stage " +
           std::to_string(s));

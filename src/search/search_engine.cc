@@ -413,11 +413,32 @@ Status SearchEngine::CheckOrdinal(int ordinal) const {
   return Status::OK();
 }
 
-Result<int> SearchEngine::RequestOrdinal(const QueryRequest& request) const {
-  if (!request.space.empty()) return registry_->Resolve(request.space);
-  const int ordinal = static_cast<int>(request.kind);
+Result<int> SearchEngine::SpaceOrdinal(const std::string& space,
+                                       FeatureKind kind) const {
+  if (!space.empty()) return registry_->Resolve(space);
+  const int ordinal = static_cast<int>(kind);
   DESS_RETURN_NOT_OK(CheckOrdinal(ordinal));
   return ordinal;
+}
+
+Result<std::vector<int>> SearchEngine::RequestSpaces(
+    const QueryRequest& request) const {
+  std::vector<int> ordinals;
+  if (request.mode != QueryMode::kMultiStep) {
+    DESS_ASSIGN_OR_RETURN(const int ordinal,
+                          SpaceOrdinal(request.space, request.kind));
+    ordinals.push_back(ordinal);
+    return ordinals;
+  }
+  if (request.plan.stages.empty()) {
+    return Status::InvalidArgument("multi-step: empty plan");
+  }
+  for (const MultiStepStage& stage : request.plan.stages) {
+    DESS_ASSIGN_OR_RETURN(const int ordinal,
+                          SpaceOrdinal(stage.space, stage.kind));
+    ordinals.push_back(ordinal);
+  }
+  return ordinals;
 }
 
 Status SearchEngine::SetWeights(int ordinal,
@@ -604,7 +625,8 @@ Result<QueryResponse> SearchEngine::Execute(const ShapeSignature* query,
     DESS_RETURN_NOT_OK(RunPlan(query, query_id, request, &response));
     return response;
   }
-  DESS_ASSIGN_OR_RETURN(const int ordinal, RequestOrdinal(request));
+  DESS_ASSIGN_OR_RETURN(const int ordinal,
+                        SpaceOrdinal(request.space, request.kind));
   DESS_RETURN_NOT_OK(CheckRequestWeights(request, ordinal));
   std::vector<double> stored;
   if (query == nullptr) {

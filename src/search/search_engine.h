@@ -171,6 +171,12 @@ class SearchEngine {
     return registry_->Resolve(space_id);
   }
 
+  /// The registry ordinals whose query-signature vectors `request` reads:
+  /// the kTopK/kThreshold space, or each kMultiStep stage's space in plan
+  /// order. InvalidArgument for an unknown id, an out-of-range kind, or an
+  /// empty plan. QueryByMesh extracts only these spaces.
+  Result<std::vector<int>> RequestSpaces(const QueryRequest& request) const;
+
   /// The backend id serving one space's main index.
   const std::string& BackendIdAt(int ordinal) const {
     return backend_info_[ordinal].id;
@@ -264,9 +270,9 @@ class SearchEngine {
   /// signature indexes included): InvalidArgument when out of range.
   Status CheckOrdinal(int ordinal) const;
 
-  /// The space a QueryRequest addresses: request.space when set (resolved
-  /// through the registry), else the legacy request.kind.
-  Result<int> RequestOrdinal(const QueryRequest& request) const;
+  /// The space a QueryRequest (or a multi-step stage) addresses: `space`
+  /// when set (resolved through the registry), else the legacy `kind`.
+  Result<int> SpaceOrdinal(const std::string& space, FeatureKind kind) const;
 
   /// Shared body of Query and QueryById: a null `query` means query by the
   /// database shape `query_id`, which is excluded from its own results.

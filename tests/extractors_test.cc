@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "src/features/extractors.h"
+#include "src/features/shape_distribution.h"
 #include "src/index/multidim_index.h"
 #include "src/modelgen/csg.h"
 #include "src/modelgen/marching_cubes.h"
@@ -182,6 +187,114 @@ TEST(ExtractorsTest, ExactMeshMomentsOptionAgreesWithVoxel) {
     EXPECT_GE(pv[i], pe[i] * 0.95) << "component " << i;
     EXPECT_LE(pv[i], pe[i] * 1.30) << "component " << i;
   }
+}
+
+/// The paper's four spaces plus the D2 shape distribution.
+std::shared_ptr<const FeatureSpaceRegistry> CanonicalPlusD2() {
+  auto registry = std::make_shared<FeatureSpaceRegistry>();
+  DESS_CHECK(registry->Register(MakeD2SpaceDef()).ok());
+  return registry;
+}
+
+TEST(ExtractorsTest, SpacesDeclareTheDeepestStageTheyRead) {
+  const auto registry = CanonicalPlusD2();
+  EXPECT_EQ(registry->space(0).needs, PipelineStage::kVoxels);  // moments
+  EXPECT_EQ(registry->space(1).needs, PipelineStage::kNormalized);
+  EXPECT_EQ(registry->space(2).needs, PipelineStage::kVoxels);  // moments
+  EXPECT_EQ(registry->space(3).needs, PipelineStage::kSkeleton);
+  EXPECT_EQ(registry->space(4).needs, PipelineStage::kNormalized);  // D2
+  EXPECT_EQ(FeatureSpaceDef{}.needs, PipelineStage::kSkeleton);
+}
+
+TEST(ExtractorsTest, MinimalExtractionMatchesFullExtraction) {
+  // Each space alone, then the paper's multi-step plan (moment invariants,
+  // then geometric parameters): only the selected slots are filled, each
+  // bit-identical to a full extraction's, and the pipeline stops at the
+  // deepest stage the selection needs.
+  const auto registry = CanonicalPlusD2();
+  const std::vector<std::vector<int>> selections = {{0}, {1}, {2}, {3},
+                                                    {4}, {0, 1}};
+  for (int resolution : {24, 32}) {
+    ExtractionOptions opt;
+    opt.voxelization.resolution = resolution;
+    opt.registry = registry;
+    for (int family : {0, 7, 10}) {
+      auto mesh = FamilyMesh(family, 40 + family);
+      ASSERT_TRUE(mesh.ok());
+      auto full = ExtractFeatures(*mesh, opt);
+      ASSERT_TRUE(full.ok()) << full.status().ToString();
+      for (const std::vector<int>& spaces : selections) {
+        SCOPED_TRACE(::testing::Message()
+                     << "resolution " << resolution << " family " << family
+                     << " first space " << spaces[0]);
+        auto art = ExtractFeatures(*mesh, opt, spaces);
+        ASSERT_TRUE(art.ok()) << art.status().ToString();
+        ASSERT_EQ(art->signature.NumSpaces(), registry->size());
+        PipelineStage depth = PipelineStage::kNormalized;
+        for (int ordinal = 0; ordinal < registry->size(); ++ordinal) {
+          const FeatureVector& slot = art->signature.At(ordinal);
+          EXPECT_EQ(slot.space, registry->id(ordinal));
+          if (std::find(spaces.begin(), spaces.end(), ordinal) ==
+              spaces.end()) {
+            EXPECT_EQ(slot.dim(), 0) << registry->id(ordinal);
+            continue;
+          }
+          depth = std::max(depth, registry->space(ordinal).needs);
+          EXPECT_EQ(slot.values, full->signature.At(ordinal).values)
+              << registry->id(ordinal);
+        }
+        EXPECT_EQ(art->voxels.IsEmpty(), depth < PipelineStage::kVoxels);
+        EXPECT_EQ(art->skeleton.IsEmpty(), depth < PipelineStage::kSkeleton);
+        EXPECT_EQ(art->graph.NumNodes() == 0,
+                  depth < PipelineStage::kSkeleton);
+      }
+    }
+  }
+}
+
+TEST(ExtractorsTest, UndeclaredDependencyGetsEveryArtifact) {
+  // A registered space that does not declare what it reads runs after the
+  // whole pipeline, even when it is the only space extracted.
+  auto registry = std::make_shared<FeatureSpaceRegistry>();
+  FeatureSpaceDef def;
+  def.id = "artifact_sizes";
+  def.dim = 3;
+  def.extractor = [](const ExtractionArtifacts& art) -> Result<FeatureVector> {
+    FeatureVector fv;
+    fv.values = {static_cast<double>(art.voxels.CountSet()),
+                 static_cast<double>(art.skeleton.CountSet()),
+                 static_cast<double>(art.graph.NumNodes())};
+    return fv;
+  };
+  auto ordinal = registry->Register(std::move(def));
+  ASSERT_TRUE(ordinal.ok());
+  auto mesh = FamilyMesh(7, 2);
+  ASSERT_TRUE(mesh.ok());
+  ExtractionOptions opt = FastOptions();
+  opt.registry = registry;
+  auto only = ExtractFeatures(*mesh, opt, {*ordinal});
+  auto full = ExtractFeatures(*mesh, opt);
+  ASSERT_TRUE(only.ok() && full.ok());
+  const std::vector<double>& sizes = only->signature.At(*ordinal).values;
+  ASSERT_EQ(sizes.size(), 3u);
+  for (double size : sizes) EXPECT_GT(size, 0.0);
+  EXPECT_EQ(sizes, full->signature.At(*ordinal).values);
+}
+
+TEST(ExtractorsTest, MinimalExtractionRejectsBadOrdinalsAndExpiredDeadlines) {
+  auto mesh = FamilyMesh(0, 1);
+  ASSERT_TRUE(mesh.ok());
+  auto out_of_range = ExtractFeatures(*mesh, FastOptions(), {kNumFeatureKinds});
+  ASSERT_FALSE(out_of_range.ok());
+  EXPECT_EQ(out_of_range.status().code(), StatusCode::kInvalidArgument);
+
+  auto expired = ExtractFeatures(
+      *mesh, FastOptions(), {0},
+      std::chrono::steady_clock::now() - std::chrono::seconds(1));
+  ASSERT_FALSE(expired.ok());
+  EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(expired.status().message().find("normalize"), std::string::npos)
+      << expired.status().ToString();
 }
 
 }  // namespace

@@ -8,12 +8,41 @@
 
 #include <chrono>
 #include <limits>
+#include <string>
 
+#include "src/common/metrics.h"
 #include "src/core/system.h"
+#include "src/modelgen/marching_cubes.h"
+#include "src/modelgen/part_families.h"
 #include "tests/test_util.h"
 
 namespace dess {
 namespace {
+
+/// A probe mesh for QueryByMesh: the fixture's records are synthetic, but
+/// they carry the canonical four spaces a mesh extracts.
+TriMesh ProbeMesh() {
+  Rng rng(5);
+  auto mesh =
+      MeshSolid(*StandardPartFamilies()[0].build(&rng), {.resolution = 24});
+  DESS_CHECK(mesh.ok());
+  return std::move(mesh).value();
+}
+
+uint64_t CounterValue(const std::string& name) {
+  for (const CounterSample& c : MetricsRegistry::Global()->Snapshot().counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
+uint64_t HistogramCount(const std::string& name) {
+  for (const HistogramSample& h :
+       MetricsRegistry::Global()->Snapshot().histograms) {
+    if (h.name == name) return h.count;
+  }
+  return 0;
+}
 
 SystemOptions FastSystemOptions() {
   SystemOptions opt;
@@ -56,6 +85,45 @@ TEST_F(QueryApiTest, UncommittedPathsReturnFailedPrecondition) {
   auto hierarchy = system_->Hierarchy(FeatureKind::kSpectral);
   ASSERT_FALSE(hierarchy.ok());
   EXPECT_EQ(hierarchy.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(QueryApiTest, UncommittedQueryByMeshFailsBeforeExtracting) {
+  const uint64_t extractions = CounterValue("pipeline.extractions");
+  auto response = system_->QueryByMesh(
+      ProbeMesh(), QueryRequest::TopK(FeatureKind::kSpectral, 2));
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(CounterValue("pipeline.extractions"), extractions);
+}
+
+TEST_F(QueryApiTest, QueryByMeshUnknownSpaceFailsBeforeExtracting) {
+  ASSERT_TRUE(system_->Commit().ok());
+  const uint64_t extractions = CounterValue("pipeline.extractions");
+  auto response =
+      system_->QueryByMesh(ProbeMesh(), QueryRequest::TopK("no_such", 2));
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(response.status().message().find(
+                "registered: moment_invariants, geometric_params, "
+                "principal_moments, eigenvalues"),
+            std::string::npos)
+      << response.status().ToString();
+  EXPECT_EQ(CounterValue("pipeline.extractions"), extractions);
+}
+
+TEST_F(QueryApiTest, QueryByMeshExpiredDeadlineSkipsExtraction) {
+  // An expired budget fails DeadlineExceeded before the pipeline runs: no
+  // thinning, no extraction span.
+  ASSERT_TRUE(system_->Commit().ok());
+  const uint64_t thins = HistogramCount("stage.thin");
+  const uint64_t extracts = HistogramCount("pipeline.extract");
+  QueryRequest request = QueryRequest::TopK(FeatureKind::kSpectral, 2)
+                             .WithDeadlineAfter(std::chrono::seconds(-1));
+  auto response = system_->QueryByMesh(ProbeMesh(), request);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(HistogramCount("stage.thin"), thins);
+  EXPECT_EQ(HistogramCount("pipeline.extract"), extracts);
 }
 
 TEST_F(QueryApiTest, ExpiredDeadlineReturnsDeadlineExceeded) {

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include "src/core/system.h"
+#include "src/features/shape_distribution.h"
 #include "src/modelgen/marching_cubes.h"
 #include "src/modelgen/part_families.h"
 #include "tests/test_util.h"
@@ -132,6 +133,45 @@ TEST(SystemTest, MultiStepByMesh) {
       *probe, QueryRequest::MultiStep(MultiStepPlan::Standard(4, 2)));
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->results.size(), 2u);
+}
+
+TEST(SystemTest, QueryByMeshMatchesFullExtractionForEveryRequest) {
+  // QueryByMesh extracts only the spaces a request searches; its answers
+  // must equal those of the fully extracted signature for the mesh-query
+  // mix: top-k on each of the four canonical spaces and D2, then the
+  // paper's multi-step plan.
+  auto registry = std::make_shared<FeatureSpaceRegistry>();
+  ASSERT_TRUE(registry->Register(MakeD2SpaceDef()).ok());
+  SystemOptions options = FastSystemOptions();
+  options.feature_spaces = registry;
+  Dess3System system(options);
+  for (uint64_t s = 1; s <= 8; ++s) {
+    auto mesh = QuickMesh(s, static_cast<int>(s % 4) * 3);
+    ASSERT_TRUE(mesh.ok());
+    ASSERT_TRUE(system.IngestMesh(*mesh, "m" + std::to_string(s)).ok());
+  }
+  ASSERT_TRUE(system.Commit().ok());
+
+  std::vector<QueryRequest> requests;
+  for (int ordinal = 0; ordinal < registry->size(); ++ordinal) {
+    requests.push_back(QueryRequest::TopK(registry->id(ordinal), 5));
+  }
+  requests.push_back(QueryRequest::MultiStep(MultiStepPlan::Standard(6, 3)));
+  for (uint64_t seed : {60, 61}) {
+    auto probe = QuickMesh(seed, static_cast<int>(seed % 4) * 3);
+    ASSERT_TRUE(probe.ok());
+    auto signature = ExtractSignature(*probe, system.options().extraction);
+    ASSERT_TRUE(signature.ok()) << signature.status().ToString();
+    for (size_t r = 0; r < requests.size(); ++r) {
+      auto by_mesh = system.QueryByMesh(*probe, requests[r]);
+      auto by_signature = system.QueryBySignature(*signature, requests[r]);
+      ASSERT_TRUE(by_mesh.ok()) << by_mesh.status().ToString();
+      ASSERT_TRUE(by_signature.ok()) << by_signature.status().ToString();
+      EXPECT_FALSE(by_mesh->results.empty()) << "request " << r;
+      EXPECT_EQ(by_mesh->results, by_signature->results) << "request " << r;
+      EXPECT_EQ(by_mesh->epoch, by_signature->epoch);
+    }
+  }
 }
 
 TEST(SystemTest, HierarchiesBuiltPerFeature) {
