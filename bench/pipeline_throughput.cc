@@ -363,20 +363,6 @@ void BM_ColdStartReopen(benchmark::State& state) {
 }
 BENCHMARK(BM_ColdStartReopen);
 
-// Eager open (read_all): rebuilds in-memory R-trees from the persisted
-// features — still no geometry pipeline, so it sits between lazy reopen
-// and full re-ingest.
-void BM_ColdStartReopenEager(benchmark::State& state) {
-  const ColdStartFixture& fx = ColdStart();
-  OpenOptions open;
-  open.read_all = true;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        Dess3System::OpenFromSnapshot(fx.snap_dir, open));
-  }
-}
-BENCHMARK(BM_ColdStartReopenEager);
-
 void BM_ColdStartReingest(benchmark::State& state) {
   const ColdStartFixture& fx = ColdStart();
   for (auto _ : state) {

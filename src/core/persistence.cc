@@ -9,21 +9,21 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/common/crc32c.h"
+#include "src/common/logging.h"
 #include "src/common/metrics.h"
 #include "src/common/strings.h"
 #include "src/core/snapshot.h"
 #include "src/core/system.h"
 #include "src/db/serialization.h"
 #include "src/index/disk_rtree.h"
-#include "src/index/index_backend.h"
-#include "src/index/rtree.h"
-#include "src/index/signature_block.h"
 #include "src/search/search_engine.h"
 
 namespace dess {
@@ -44,6 +44,63 @@ constexpr uint32_t kMaxManifestSpaces = 30;
 constexpr int kMaxHierarchyDepth = 64;
 constexpr uint32_t kMaxHierarchyChildren = 4096;
 
+/// Serves a snapshot's packed R-tree file (a DiskRTree) through the
+/// MultiDimIndex interface. The tree is read-only: Insert/Remove report
+/// NotImplemented (updates go through an engine rebuild, the standard
+/// pattern for packed indexes). Disk errors during a query are logged and
+/// yield an empty result — they indicate an unreadable index file, not a
+/// missing shape.
+///
+/// The underlying buffer pool mutates frame state on every page fetch, so
+/// concurrent snapshot queries must not enter it simultaneously: a mutex
+/// serializes queries against this one index (in-memory backends stay
+/// lock-free).
+class PackedIndex final : public MultiDimIndex {
+ public:
+  explicit PackedIndex(std::unique_ptr<DiskRTree> tree)
+      : tree_(std::move(tree)) {}
+
+  int dim() const override { return tree_->dim(); }
+  size_t size() const override { return tree_->size(); }
+
+  Status Insert(int, const std::vector<double>&) override {
+    return Status::NotImplemented(
+        "disk r-tree is static; rebuild the engine to add shapes");
+  }
+  Status Remove(int, const std::vector<double>&) override {
+    return Status::NotImplemented(
+        "disk r-tree is static; rebuild the engine to remove shapes");
+  }
+
+  std::vector<Neighbor> KNearest(const std::vector<double>& query, size_t k,
+                                 const std::vector<double>& weights,
+                                 QueryStats* stats) const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return Unwrap(tree_->KNearest(query, k, weights, stats));
+  }
+
+  std::vector<Neighbor> RangeQuery(const std::vector<double>& query,
+                                   double radius,
+                                   const std::vector<double>& weights,
+                                   QueryStats* stats) const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return Unwrap(tree_->RangeQuery(query, radius, weights, stats));
+  }
+
+ private:
+  static std::vector<Neighbor> Unwrap(Result<std::vector<Neighbor>> result) {
+    if (!result.ok()) {
+      DESS_LOG(Error) << "disk index query failed: "
+                      << result.status().ToString();
+      return {};
+    }
+    return std::move(result).value();
+  }
+
+  mutable std::mutex mu_;  // buffer pool is not thread-safe
+  std::unique_ptr<DiskRTree> tree_;
+};
+
 /// One MANIFEST entry: a section file with its expected size and CRC-32C.
 struct ManifestSection {
   std::string file;
@@ -51,12 +108,9 @@ struct ManifestSection {
   uint32_t crc = 0;
 };
 
-/// One feature-space entry of a v2+ MANIFEST: which space, at which
-/// dimension, the snapshot's i-th sections describe. A v1 manifest has no
-/// table on disk; ReadManifest synthesizes the canonical four. Version 3
-/// adds the index backend id the space was served with (empty when read
-/// from an older manifest — meaning "whatever the opener's configuration
-/// resolves", which is also how a backend mismatch degrades).
+/// One feature-space entry of the MANIFEST: which space, at which
+/// dimension, the snapshot's i-th sections describe, and the id of the
+/// index backend that served it (the writer of its graph section, if any).
 struct ManifestSpace {
   std::string id;
   uint32_t dim = 0;
@@ -64,7 +118,6 @@ struct ManifestSpace {
 };
 
 struct Manifest {
-  uint32_t version = kSnapshotFormatVersion;
   uint64_t epoch = 0;
   uint32_t flags = 0;
   uint64_t num_shapes = 0;
@@ -87,20 +140,17 @@ Status WriteManifest(const std::string& path, const Manifest& manifest) {
   BinaryWriter w(path);
   if (!w.ok()) return Status::IOError("cannot open for write: " + path);
   w.WriteU32(kManifestMagic);
-  w.WriteU32(manifest.version);
+  w.WriteU32(kSnapshotFormatVersion);
   w.WriteU64(manifest.epoch);
   w.WriteU32(manifest.flags);
   w.WriteU64(manifest.num_shapes);
-  if (manifest.version >= 2) {
-    // The feature-space table: which spaces, in which registry order, this
-    // snapshot's sections describe. Version 1 had exactly the canonical
-    // four and no table.
-    w.WriteU32(static_cast<uint32_t>(manifest.spaces.size()));
-    for (const ManifestSpace& s : manifest.spaces) {
-      w.WriteString(s.id);
-      w.WriteU32(s.dim);
-      if (manifest.version >= 3) w.WriteString(s.backend);
-    }
+  // The feature-space table: which spaces, in which registry order, this
+  // snapshot's sections describe.
+  w.WriteU32(static_cast<uint32_t>(manifest.spaces.size()));
+  for (const ManifestSpace& s : manifest.spaces) {
+    w.WriteString(s.id);
+    w.WriteU32(s.dim);
+    w.WriteString(s.backend);
   }
   w.WriteU32(static_cast<uint32_t>(manifest.sections.size()));
   for (const ManifestSection& s : manifest.sections) {
@@ -117,7 +167,8 @@ Status WriteManifest(const std::string& path, const Manifest& manifest) {
 /// the file does not exist, DataLoss when its self-CRC (or any field) is
 /// bad, FailedPrecondition when the CRC is valid but the format version is
 /// not ours — the self-CRC runs first so a bit flip in the version field
-/// reads as corruption, not as version skew.
+/// reads as corruption, not as version skew. The fields are parsed from
+/// the very bytes the CRC verified, never from a second read of the file.
 Result<Manifest> ReadManifest(const std::string& path) {
   std::error_code ec;
   if (!fs::exists(path, ec)) {
@@ -141,47 +192,36 @@ Result<Manifest> ReadManifest(const std::string& path) {
     return Status::DataLoss("snapshot manifest checksum mismatch: " + path);
   }
 
-  BinaryReader r(path);
-  if (!r.ok()) return Status::IOError("cannot open for read: " + path);
+  ByteReader r(reinterpret_cast<const uint8_t*>(buf.data()),
+               buf.size() - sizeof(stored_crc));
   Manifest manifest;
   uint32_t magic = 0;
   if (!r.ReadU32(&magic) || magic != kManifestMagic) {
     return Status::DataLoss("bad snapshot manifest magic: " + path);
   }
-  if (!r.ReadU32(&manifest.version)) {
+  uint32_t version = 0;
+  if (!r.ReadU32(&version)) {
     return Status::DataLoss("snapshot manifest truncated: " + path);
   }
-  if (manifest.version < 1 || manifest.version > kSnapshotFormatVersion) {
+  if (version != kSnapshotFormatVersion) {
     return Status::FailedPrecondition(StrFormat(
-        "snapshot format version %u, this build reads versions 1..%u: %s",
-        manifest.version, kSnapshotFormatVersion, path.c_str()));
+        "snapshot format version %u, this build reads version %u: %s",
+        version, kSnapshotFormatVersion, path.c_str()));
   }
   if (!r.ReadU64(&manifest.epoch) || !r.ReadU32(&manifest.flags) ||
       !r.ReadU64(&manifest.num_shapes)) {
     return Status::DataLoss("unparseable snapshot manifest: " + path);
   }
-  if (manifest.version >= 2) {
-    uint32_t num_spaces = 0;
-    if (!r.ReadU32(&num_spaces) || num_spaces < kNumFeatureKinds ||
-        num_spaces > kMaxManifestSpaces) {
+  uint32_t num_spaces = 0;
+  if (!r.ReadU32(&num_spaces) || num_spaces < kNumFeatureKinds ||
+      num_spaces > kMaxManifestSpaces) {
+    return Status::DataLoss("unparseable snapshot manifest: " + path);
+  }
+  manifest.spaces.resize(num_spaces);
+  for (ManifestSpace& s : manifest.spaces) {
+    if (!r.ReadString(&s.id) || !r.ReadU32(&s.dim) ||
+        !r.ReadString(&s.backend) || s.id.empty() || s.dim == 0) {
       return Status::DataLoss("unparseable snapshot manifest: " + path);
-    }
-    manifest.spaces.resize(num_spaces);
-    for (ManifestSpace& s : manifest.spaces) {
-      if (!r.ReadString(&s.id) || !r.ReadU32(&s.dim) || s.id.empty() ||
-          s.dim == 0) {
-        return Status::DataLoss("unparseable snapshot manifest: " + path);
-      }
-      if (manifest.version >= 3 && !r.ReadString(&s.backend)) {
-        return Status::DataLoss("unparseable snapshot manifest: " + path);
-      }
-    }
-  } else {
-    // A v1 snapshot is, by definition, the canonical four spaces.
-    manifest.spaces.reserve(kNumFeatureKinds);
-    for (FeatureKind kind : AllFeatureKinds()) {
-      manifest.spaces.push_back(
-          {CanonicalSpaceId(kind), static_cast<uint32_t>(FeatureDim(kind))});
     }
   }
   uint32_t num_sections = 0;
@@ -199,11 +239,9 @@ Result<Manifest> ReadManifest(const std::string& path) {
 }
 
 /// records.bin: the catalog and every feature vector of every record, in
-/// store order. Each feature is tagged with its registry ordinal — the same
-/// bytes a v1 writer produced (the FeatureKind value IS the ordinal), so
-/// canonical-registry snapshots stay byte-identical across versions.
-/// Geometry lives in the (optional) meshes.bin so that feature-only
-/// snapshots stay small.
+/// store order. Each feature is tagged with its registry ordinal. Geometry
+/// lives in the (optional) meshes.bin so that feature-only snapshots stay
+/// small.
 Status WriteRecords(const std::string& path, const ShapeDatabase& db) {
   BinaryWriter w(path);
   if (!w.ok()) return Status::IOError("cannot open for write: " + path);
@@ -329,10 +367,9 @@ Status LoadMeshes(const std::string& path,
 }
 
 /// spaces.bin: every calibrated SimilaritySpace, tagged with its registry
-/// ordinal (the same bytes a v1 writer produced for the canonical four).
-/// Persisting stats, weights and d_max — not recomputing them — is what
-/// makes a reopened system answer bit-identically: every distance and
-/// similarity a query produces is a function of the raw features plus
+/// ordinal. Persisting stats, weights and d_max — not recomputing them —
+/// is what makes a reopened system answer bit-identically: every distance
+/// and similarity a query produces is a function of the raw features plus
 /// exactly these numbers.
 Status WriteSpaces(const std::string& path, const SearchEngine& engine) {
   BinaryWriter w(path);
@@ -428,18 +465,6 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
                               const SaveOptions& options) const {
   DESS_TIMED_SCOPE("snapshot.save");
   const FeatureSpaceRegistry& registry = engine_->registry();
-  if (options.format_version < 1 ||
-      options.format_version > kSnapshotFormatVersion) {
-    return Status::InvalidArgument(
-        StrFormat("cannot write snapshot format version %u (this build "
-                  "writes versions 1..%u)",
-                  options.format_version, kSnapshotFormatVersion));
-  }
-  if (options.format_version == 1 && registry.size() != kNumFeatureKinds) {
-    return Status::InvalidArgument(
-        "snapshot format version 1 cannot express a registry beyond the "
-        "canonical four feature spaces");
-  }
   const fs::path target(dir);
   std::error_code ec;
   const bool target_exists = fs::exists(target, ec);
@@ -475,7 +500,6 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
   }
 
   Manifest manifest;
-  manifest.version = options.format_version;
   manifest.epoch = epoch_;
   manifest.flags =
       (options.include_meshes ? kFlagIncludeMeshes : 0u) |
@@ -531,41 +555,28 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
     DESS_RETURN_NOT_OK(add_section(file));
   }
 
-  // Optional graph sections (v3+): an approximate backend's serialized
-  // structure, so a reopen skips the graph rebuild. Skipped — never an
-  // error — when the backend has no serialize hook, when the engine is
-  // layered (the main graph covers only the pre-delta rows while every
-  // other section covers the full store), or when the serving index is not
-  // the backend's own type (e.g. a lazily reopened engine serving a packed
-  // R-tree under an hnsw configuration). The reader falls back to a
-  // rebuild from the packed rows whenever the section is absent.
-  if (options.format_version >= 3 && engine_->NumSideRecords() == 0) {
-    const IndexBackendRegistry& backends =
-        BackendsOrBuiltIns(engine_->options().index_backends);
-    for (int ordinal = 0; ordinal < registry.size(); ++ordinal) {
-      const std::string& backend_id = engine_->BackendIdAt(ordinal);
-      if (backends.IndexOf(backend_id) < 0) continue;
-      DESS_ASSIGN_OR_RETURN(const IndexBackendDef* def,
-                            backends.Resolve(backend_id));
-      if (!def->serialize) continue;
-      Result<std::string> bytes = def->serialize(engine_->IndexAt(ordinal));
-      if (!bytes.ok()) continue;
-      const std::string file = SnapshotGraphFile(registry.id(ordinal));
-      std::ofstream gout((staging / file).string(),
-                         std::ios::binary | std::ios::trunc);
-      if (!gout) {
-        return Status::IOError("cannot open for write: " +
-                               (staging / file).string());
-      }
-      gout.write(bytes.value().data(),
-                 static_cast<std::streamsize>(bytes.value().size()));
-      gout.close();
-      if (!gout) {
-        return Status::IOError("cannot write snapshot graph section: " +
-                               (staging / file).string());
-      }
-      DESS_RETURN_NOT_OK(add_section(file));
+  // Optional graph sections: the bytes the engine hands back for spaces
+  // served by an approximate backend (SearchEngine::SerializedIndexAt), so
+  // a reopen can skip the rebuild. The reader falls back to a rebuild from
+  // the packed rows whenever the section is absent.
+  for (int ordinal = 0; ordinal < registry.size(); ++ordinal) {
+    const std::optional<std::string> bytes =
+        engine_->SerializedIndexAt(ordinal);
+    if (!bytes.has_value()) continue;
+    const std::string file = SnapshotGraphFile(registry.id(ordinal));
+    std::ofstream gout((staging / file).string(),
+                       std::ios::binary | std::ios::trunc);
+    if (!gout) {
+      return Status::IOError("cannot open for write: " +
+                             (staging / file).string());
     }
+    gout.write(bytes->data(), static_cast<std::streamsize>(bytes->size()));
+    gout.close();
+    if (!gout) {
+      return Status::IOError("cannot write snapshot graph section: " +
+                             (staging / file).string());
+    }
+    DESS_RETURN_NOT_OK(add_section(file));
   }
 
   // The manifest is written last inside the staging directory, so even the
@@ -738,84 +749,32 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
   engine_options.standardize = (manifest.flags & kFlagStandardize) != 0;
   system->options_.search.standardize = engine_options.standardize;
 
-  const IndexBackendRegistry& backends =
-      BackendsOrBuiltIns(engine_options.index_backends);
-  std::vector<std::unique_ptr<MultiDimIndex>> indexes(registry->size());
+  // Every space's packed R-tree opens lazily (index nodes page in through
+  // a buffer pool on first touch), and a usable graph section rides along
+  // with the id of the backend that wrote it; the engine decides per space
+  // which of the two serves.
+  std::vector<PersistedIndex> indexes(registry->size());
   for (int ki = 0; ki < registry->size(); ++ki) {
-    const std::string backend_id =
-        ResolveIndexBackendId(engine_options, registry->space(ki));
-    if (backend_id != kRTreeBackendId && backend_id != kLinearScanBackendId &&
-        backend_id != kDiskRTreeBackendId) {
-      // A registered (typically approximate) backend. Restore its
-      // serialized structure when the snapshot carries a graph section
-      // written by the same backend; on a missing section, a backend
-      // mismatch, or unusable bytes, rebuild from the packed standardized
-      // rows — the graph is an accelerator, never the data of record. An
-      // id the opener's registry does not know stays an error (the same
-      // configuration taxonomy as SearchEngine::Build).
-      DESS_ASSIGN_OR_RETURN(const IndexBackendDef* def,
-                            backends.Resolve(backend_id));
-      SignatureBlock block(registry->dim(ki));
-      block.Reserve(view->NumShapes());
-      for (const ShapeRecord& rec : view->records()) {
-        block.Append(rec.id,
-                     spaces[ki].Standardize(rec.signature.At(ki).values));
-      }
-      IndexBuildContext ctx;
-      ctx.dim = registry->dim(ki);
-      ctx.block = &block;
-      ctx.weights = &spaces[ki].weights;
-      ctx.pool = nullptr;
-      ctx.seed = engine_options.index_seed + static_cast<uint64_t>(ki);
-      ctx.space_id = registry->id(ki);
-      std::unique_ptr<MultiDimIndex> index;
-      const std::string gfile = SnapshotGraphFile(registry->id(ki));
-      if (def->deserialize && manifest.spaces[ki].backend == backend_id &&
-          FindSection(manifest, gfile) != nullptr &&
-          unusable_graphs.count(gfile) == 0) {
-        std::ifstream gin((root / gfile).string(), std::ios::binary);
-        std::string bytes((std::istreambuf_iterator<char>(gin)),
-                          std::istreambuf_iterator<char>());
-        if (gin.good() || gin.eof()) {
-          Result<std::unique_ptr<MultiDimIndex>> restored =
-              def->deserialize(ctx, bytes);
-          if (restored.ok()) {
-            index = std::move(restored).value();
-            MetricsRegistry::Global()->AddCounter("persist.graphs_restored");
-          }
-        }
-      }
-      if (index == nullptr) {
-        DESS_ASSIGN_OR_RETURN(index, def->factory(ctx));
-        MetricsRegistry::Global()->AddCounter("persist.graphs_rebuilt");
-      }
-      index->BindMetricFamily(def->id);
-      indexes[ki] = std::move(index);
-    } else if (open_options.read_all) {
-      // Eager: rebuild an in-memory R-tree from the persisted raw features
-      // through the persisted space — same coordinates as the packed file,
-      // so both open modes answer identically.
-      auto rtree = std::make_unique<RTreeIndex>(registry->dim(ki));
-      std::vector<std::pair<int, std::vector<double>>> bulk;
-      bulk.reserve(view->NumShapes());
-      for (const ShapeRecord& rec : view->records()) {
-        bulk.emplace_back(
-            rec.id, spaces[ki].Standardize(rec.signature.At(ki).values));
-      }
-      DESS_RETURN_NOT_OK(rtree->BulkLoad(bulk));
-      indexes[ki] = std::move(rtree);
-    } else {
-      // Lazy: serve straight from the packed page file through a buffer
-      // pool; index nodes page in on first touch.
-      const std::string path =
-          (root / SnapshotIndexFile(registry->id(ki))).string();
-      Result<std::unique_ptr<DiskRTree>> tree =
-          DiskRTree::Open(path, open_options.index_buffer_pages);
-      if (!tree.ok()) {
-        return Status::DataLoss("cannot open snapshot index '" + path +
-                                "': " + tree.status().message());
-      }
-      indexes[ki] = MakeDiskIndexAdapter(std::move(tree).value());
+    const std::string path =
+        (root / SnapshotIndexFile(registry->id(ki))).string();
+    Result<std::unique_ptr<DiskRTree>> tree = DiskRTree::Open(path);
+    if (!tree.ok()) {
+      return Status::DataLoss("cannot open snapshot index '" + path +
+                              "': " + tree.status().message());
+    }
+    indexes[ki].packed =
+        std::make_unique<PackedIndex>(std::move(tree).value());
+    const std::string gfile = SnapshotGraphFile(registry->id(ki));
+    if (FindSection(manifest, gfile) == nullptr ||
+        unusable_graphs.count(gfile) > 0) {
+      continue;
+    }
+    std::ifstream gin((root / gfile).string(), std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(gin)),
+                      std::istreambuf_iterator<char>());
+    if (gin.good() || gin.eof()) {
+      indexes[ki].graph_backend = manifest.spaces[ki].backend;
+      indexes[ki].graph = std::move(bytes);
     }
   }
 

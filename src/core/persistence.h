@@ -7,35 +7,32 @@
 namespace dess {
 
 /// On-disk snapshot format understood by this build. The snapshot is a
-/// directory of sections — frozen record store, the four feature-vector
-/// sets, calibrated similarity spaces, packed R-tree page files, browsing
-/// hierarchies — described by a MANIFEST that carries the format version,
-/// the answering epoch, and a CRC-32C per section. The manifest itself is
+/// directory of sections — frozen record store, the feature-vector sets,
+/// calibrated similarity spaces, packed R-tree page files, browsing
+/// hierarchies, optional graph sections — described by a MANIFEST that
+/// carries the format version, the answering epoch, a feature-space table
+/// (id, dimension and serving backend id per registered space, in registry
+/// order) and a CRC-32C per section. The manifest itself is
 /// self-checksummed and the whole directory is staged and renamed into
 /// place, so a snapshot either opens completely or not at all.
 ///
 /// Failure taxonomy (pinned, like the QueryRequest codes):
 ///  - DataLoss: a checksum mismatch, truncated/missing section, or
 ///    unparseable manifest — the snapshot cannot be trusted.
-///  - FailedPrecondition: version skew or a feature-space mismatch — a
-///    valid snapshot that this process cannot serve as configured (an
-///    upgrade/configuration problem, not data loss).
+///  - FailedPrecondition: version skew (any version but this one) or a
+///    feature-space mismatch — a valid snapshot that this process cannot
+///    serve as configured (an upgrade/configuration problem, not data
+///    loss).
 ///  - NotFound: the directory holds no snapshot at all (no MANIFEST).
 ///
-/// Version 2 adds a feature-space table (id + dimension per registered
-/// space, in registry order) to the manifest; the section files themselves
-/// are byte-identical to v1 when the registry is the canonical four-space
-/// one, so v1 snapshots still open via the canonical mapping.
-///
-/// Version 3 records the index backend id each space was served with and
-/// may add an optional graph_<id>.ann section per space holding an
-/// approximate backend's serialized structure (e.g. the HNSW graph
-/// topology). Graph sections are pure accelerators: a v3 reader whose
-/// configuration resolves a different backend — or that finds the bytes
-/// unusable — rebuilds the index from the packed rows instead of failing,
-/// and v1/v2 snapshots (no backend table, no graph sections) open exactly
-/// as before. Version skew past kSnapshotFormatVersion stays
-/// FailedPrecondition, never DataLoss.
+/// Index sections: every space has a packed R-tree file, which a reopened
+/// engine serves lazily whenever the space's backend is exact. A space
+/// served by an approximate backend may add a graph_<id>.ann section with
+/// the backend's serialized structure (e.g. the HNSW graph topology).
+/// Graph sections are pure accelerators: a reader whose configuration
+/// resolves a different backend for the space — or that finds the bytes
+/// missing or unusable — rebuilds the index from the packed rows instead
+/// of failing.
 inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /// File names inside a snapshot directory. Per-feature-space sections are
@@ -65,17 +62,9 @@ inline std::string SnapshotIndexFile(const std::string& space_id) {
 }
 
 /// Serialized approximate-index structure of one feature space
-/// ("graph_<id>.ann", v3+, optional — see kSnapshotFormatVersion).
+/// ("graph_<id>.ann", optional — see kSnapshotFormatVersion).
 inline std::string SnapshotGraphFile(const std::string& space_id) {
   return std::string(kSnapshotGraphPrefix) + space_id + kSnapshotGraphSuffix;
-}
-
-/// Scratch index file written by SearchEngine::Build's kDiskRTree backend
-/// under SearchEngineOptions::disk_index_dir (not part of a snapshot
-/// directory, but named here so the on-disk layout has one source of
-/// truth).
-inline std::string EngineDiskIndexFile(const std::string& space_id) {
-  return "dess_index_" + space_id + kSnapshotIndexSuffix;
 }
 
 /// How SystemSnapshot::SaveTo writes a snapshot directory. A struct, not
@@ -91,28 +80,16 @@ struct SaveOptions {
   /// saving over a directory that already holds a MANIFEST fails with
   /// AlreadyExists.
   bool overwrite = false;
-  /// Manifest format version to write: kSnapshotFormatVersion (default) or
-  /// an older version for rollback — 2 drops the backend table and graph
-  /// sections, 1 additionally drops the feature-space table. Version 1 is
-  /// only expressible when the system serves exactly the canonical four
-  /// spaces (InvalidArgument otherwise); the downgrade paths exist so tests
-  /// and rollbacks can produce snapshots an older build opens.
-  uint32_t format_version = kSnapshotFormatVersion;
 };
 
-/// How Dess3System::OpenFromSnapshot reads one back.
+/// How Dess3System::OpenFromSnapshot reads one back. Index files always
+/// open lazily: O(1) at open, index nodes page in on demand through a
+/// 64-frame buffer pool per file.
 struct OpenOptions {
   /// Verify every section's CRC-32C against the manifest before trusting
   /// it (one streaming read per file). Disable only for trusted local
   /// restarts where cold-start latency matters more than bitrot detection.
   bool verify_checksums = true;
-  /// Read the R-tree index files eagerly into in-memory R-trees instead of
-  /// serving them lazily from the packed page files through a buffer pool.
-  /// Eager costs more at open, then queries run lock-free; lazy opens in
-  /// O(1) and pages index nodes in on demand.
-  bool read_all = false;
-  /// Buffer-pool frames per lazily-opened index (read_all == false).
-  int index_buffer_pages = 64;
 };
 
 }  // namespace dess

@@ -256,10 +256,10 @@ class Dess3System {
   /// SystemSnapshot::SaveTo and publishes it without re-ingesting or
   /// rebuilding: the reopened system answers queries identically to the
   /// system that saved it, at the saved epoch, and later Ingest*/Commit()
-  /// continue from there. Index pages load lazily through a buffer pool
-  /// unless `open_options.read_all` is set. Failure taxonomy: DataLoss for
-  /// checksum mismatches or truncated/missing sections, FailedPrecondition
-  /// for format-version skew, NotFound when `dir` holds no snapshot.
+  /// continue from there. Index pages load lazily through a buffer pool.
+  /// Failure taxonomy: DataLoss for checksum mismatches or
+  /// truncated/missing sections, FailedPrecondition for format-version
+  /// skew, NotFound when `dir` holds no snapshot.
   static Result<std::unique_ptr<Dess3System>> OpenFromSnapshot(
       const std::string& dir, const OpenOptions& open_options = {},
       const SystemOptions& options = {});

@@ -232,6 +232,31 @@ std::vector<std::vector<HnswIndex::Cand>> HnswIndex::CollectCandidates(
   return out;
 }
 
+std::vector<int> HnswIndex::SelectNeighbors(const std::vector<Cand>& cands,
+                                            size_t cap) const {
+  const double* w = build_weights_.empty() ? nullptr : build_weights_.data();
+  std::vector<int> kept;
+  std::vector<int> passed_over;
+  kept.reserve(cap);
+  std::vector<double> cb(dim_);
+  for (const Cand& c : cands) {
+    if (kept.size() >= cap) break;
+    block_.CopyRow(c.row, cb.data());
+    bool diverse = true;
+    for (int r : kept) {
+      if (RowWeightedL2(block_, r, cb.data(), w) < c.d) {
+        diverse = false;
+        break;
+      }
+    }
+    (diverse ? kept : passed_over).push_back(c.row);
+  }
+  for (size_t i = 0; i < passed_over.size() && kept.size() < cap; ++i) {
+    kept.push_back(passed_over[i]);
+  }
+  return kept;
+}
+
 void HnswIndex::PruneLinks(size_t row, int layer) {
   std::vector<int>& lst = links_[row][layer];
   const int cap = MaxDegree(layer);
@@ -243,9 +268,7 @@ void HnswIndex::PruneLinks(size_t row, int layer) {
   scored.reserve(lst.size());
   for (int nb : lst) scored.push_back({DistToRow(rb.data(), nb, w), nb});
   std::sort(scored.begin(), scored.end());
-  scored.resize(cap);
-  lst.clear();
-  for (const Cand& c : scored) lst.push_back(c.row);
+  lst = SelectNeighbors(scored, static_cast<size_t>(cap));
 }
 
 void HnswIndex::LinkNode(size_t row, size_t batch_begin,
@@ -255,7 +278,7 @@ void HnswIndex::LinkNode(size_t row, size_t batch_begin,
   // Batch-local predecessors are invisible to the frozen-graph searches of
   // the parallel phase; fold them in by exact distance so nodes of one
   // batch still link to each other (and the very first batch, which sees
-  // an empty frozen graph, gets exact-nearest links).
+  // an empty frozen graph, selects its links from exact distances).
   if (row > batch_begin) {
     std::vector<double> rb(dim_);
     block_.CopyRow(row, rb.data());
@@ -271,13 +294,12 @@ void HnswIndex::LinkNode(size_t row, size_t batch_begin,
   for (int l = level; l >= 0; --l) {
     std::sort(candidates[l].begin(), candidates[l].end());
     std::vector<int>& my = links_[row][l];
-    for (const Cand& c : candidates[l]) {
-      if (static_cast<int>(my.size()) >= params_.M) break;
-      my.push_back(c.row);
-      std::vector<int>& theirs = links_[c.row][l];
+    my = SelectNeighbors(candidates[l], static_cast<size_t>(params_.M));
+    for (int nb : my) {
+      std::vector<int>& theirs = links_[nb][l];
       theirs.push_back(static_cast<int>(row));
       if (static_cast<int>(theirs.size()) > MaxDegree(l)) {
-        PruneLinks(c.row, l);
+        PruneLinks(nb, l);
       }
     }
   }

@@ -141,8 +141,18 @@ class HnswIndex final : public MultiDimIndex {
   void LinkNode(size_t row, size_t batch_begin,
                 std::vector<std::vector<Cand>> candidates);
 
-  /// Trims `row`'s layer-`layer` adjacency to the per-layer cap by exact
-  /// distance, ties by row.
+  /// Malkov & Yashunin's neighbour-selection heuristic (arXiv:1603.09320,
+  /// Alg. 4, keeping pruned connections). Walks `cands` (ascending by
+  /// distance to the base node) and keeps a candidate only when no kept
+  /// neighbour lies closer to it than the base does, so the kept links
+  /// spread across directions and bridge clusters instead of crowding
+  /// into the nearest one; the candidates passed over then fill the
+  /// remaining slots up to `cap`, closest first.
+  std::vector<int> SelectNeighbors(const std::vector<Cand>& cands,
+                                   size_t cap) const;
+
+  /// Trims `row`'s layer-`layer` adjacency to the per-layer cap with
+  /// SelectNeighbors over exact distances, ties by row.
   void PruneLinks(size_t row, int layer);
 
   Status AppendRows(const SignatureBlock& rows, size_t from, ThreadPool* pool);

@@ -120,7 +120,7 @@ Result<int> IndexBackendRegistry::Register(IndexBackendDef def) {
     return Status::InvalidArgument(StrFormat(
         "index backend id '%s' is not lowercase [a-z0-9_]+", def.id.c_str()));
   }
-  if (IndexOf(def.id) >= 0 || def.id == kDiskRTreeBackendId) {
+  if (IndexOf(def.id) >= 0) {
     return Status::InvalidArgument(
         StrFormat("index backend '%s' is already registered",
                   def.id.c_str()));

@@ -40,7 +40,10 @@ struct IndexBuildContext {
 };
 
 /// One index backend: id, factory over the packed block view, and the
-/// capability flags every engine layer keys off.
+/// capability flags every engine layer keys off. SearchEngine is the only
+/// caller of the hooks: it builds every space's index, restores
+/// approximate ones from snapshot bytes, and hands back the bytes to
+/// persist.
 struct IndexBackendDef {
   /// Stable identifier: lowercase [a-z0-9_]+, unique within a registry.
   /// Also names the backend's metric family ("index.<id>.*") and its
@@ -55,21 +58,19 @@ struct IndexBackendDef {
   /// threshold queries of a backend without range support through an
   /// exact scan of the packed block.
   bool supports_range = true;
-  /// True when query distances lie in the space's calibrated [0, dmax],
-  /// so similarity normalization (s = 1 - d/dmax) applies directly. All
-  /// shipped backends compute true weighted-Euclidean distances.
-  bool supports_dmax = true;
   /// Builds the index over the packed rows. Must produce an index with
   /// ctx.block->size() points of ctx.dim dimensions.
   std::function<Result<std::unique_ptr<MultiDimIndex>>(
       const IndexBuildContext&)>
       factory;
-  /// Optional: serializes the index's auxiliary structure (e.g. the HNSW
-  /// graph topology) for snapshot persistence. Backends without one are
-  /// rebuilt from the packed rows on open.
+  /// Optional: serializes an approximate index's auxiliary structure (e.g.
+  /// the HNSW graph topology) for snapshot persistence. Approximate
+  /// backends without one are rebuilt from the packed rows on open; exact
+  /// backends never need one, since a reopened snapshot serves them from
+  /// its packed R-tree.
   std::function<Result<std::string>(const MultiDimIndex&)> serialize;
   /// Optional: restores an index from `serialize` output plus the packed
-  /// rows. A failure (corrupt or mismatched bytes) makes the opener fall
+  /// rows. A failure (corrupt or mismatched bytes) makes the engine fall
   /// back to `factory`.
   std::function<Result<std::unique_ptr<MultiDimIndex>>(
       const IndexBuildContext&, std::string_view)>
@@ -120,11 +121,6 @@ const IndexBackendRegistry& BackendsOrBuiltIns(
 inline constexpr char kLinearScanBackendId[] = "linear_scan";
 inline constexpr char kRTreeBackendId[] = "rtree";
 inline constexpr char kHnswBackendId[] = "hnsw";
-/// The packed on-disk R-tree is selected by id like a registered backend
-/// but lives outside the registry: it needs engine filesystem options
-/// (index directory, buffer pool) that the factory contract does not
-/// carry.
-inline constexpr char kDiskRTreeBackendId[] = "disk_rtree";
 
 }  // namespace dess
 

@@ -2,80 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <limits>
-#include <mutex>
 
-#include "src/common/logging.h"
 #include "src/common/metrics.h"
 #include "src/common/strings.h"
-#include "src/core/persistence.h"
-#include "src/index/disk_rtree.h"
 #include "src/index/distance_kernel.h"
 #include "src/index/linear_scan.h"
-#include "src/index/rtree.h"
 
 namespace dess {
 namespace {
-
-/// Adapts the static, Status-returning DiskRTree to the MultiDimIndex
-/// interface. The tree is read-only: Insert/Remove report NotImplemented
-/// (updates go through an engine rebuild, the standard pattern for packed
-/// indexes). Disk errors during a query are logged and yield an empty
-/// result — they indicate an unreadable index file, not a missing shape.
-///
-/// The underlying buffer pool mutates frame state on every page fetch, so
-/// concurrent snapshot queries must not enter it simultaneously: a mutex
-/// serializes queries against this one index (in-memory backends stay
-/// lock-free).
-class DiskIndexAdapter final : public MultiDimIndex {
- public:
-  DiskIndexAdapter(std::unique_ptr<DiskRTree> tree)
-      : tree_(std::move(tree)) {}
-
-  int dim() const override { return tree_->dim(); }
-  size_t size() const override { return tree_->size(); }
-
-  Status Insert(int, const std::vector<double>&) override {
-    return Status::NotImplemented(
-        "disk r-tree is static; rebuild the engine to add shapes");
-  }
-  Status Remove(int, const std::vector<double>&) override {
-    return Status::NotImplemented(
-        "disk r-tree is static; rebuild the engine to remove shapes");
-  }
-
-  std::vector<Neighbor> KNearest(const std::vector<double>& query, size_t k,
-                                 const std::vector<double>& weights,
-                                 QueryStats* stats) const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto result = tree_->KNearest(query, k, weights, stats);
-    if (!result.ok()) {
-      DESS_LOG(Error) << "disk index query failed: "
-                      << result.status().ToString();
-      return {};
-    }
-    return std::move(result).value();
-  }
-
-  std::vector<Neighbor> RangeQuery(const std::vector<double>& query,
-                                   double radius,
-                                   const std::vector<double>& weights,
-                                   QueryStats* stats) const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto result = tree_->RangeQuery(query, radius, weights, stats);
-    if (!result.ok()) {
-      DESS_LOG(Error) << "disk index query failed: "
-                      << result.status().ToString();
-      return {};
-    }
-    return std::move(result).value();
-  }
-
- private:
-  mutable std::mutex mu_;  // buffer pool is not thread-safe
-  std::unique_ptr<DiskRTree> tree_;
-};
 
 Status CheckDeadline(const QueryRequest& request) {
   if (request.has_deadline() &&
@@ -85,17 +20,25 @@ Status CheckDeadline(const QueryRequest& request) {
   return Status::OK();
 }
 
-}  // namespace
-
-std::unique_ptr<MultiDimIndex> MakeDiskIndexAdapter(
-    std::unique_ptr<DiskRTree> tree) {
-  return std::make_unique<DiskIndexAdapter>(std::move(tree));
+/// The backend id serving one space, in precedence order: the space's
+/// explicit FeatureSpaceDef::index_backend, the engine-wide
+/// SearchEngineOptions::index_backend, and finally the legacy
+/// enum/use_rtree pair.
+std::string ResolveIndexBackendId(const SearchEngineOptions& options,
+                                  const FeatureSpaceDef& def) {
+  if (!def.index_backend.empty()) return def.index_backend;
+  if (!options.index_backend.empty()) return options.index_backend;
+  return options.backend == IndexBackend::kLinearScan || !options.use_rtree
+             ? kLinearScanBackendId
+             : kRTreeBackendId;
 }
+
+}  // namespace
 
 Result<std::unique_ptr<SearchEngine>> SearchEngine::Assemble(
     std::shared_ptr<const ShapeDatabase> db,
     const SearchEngineOptions& options, std::vector<SimilaritySpace> spaces,
-    std::vector<std::unique_ptr<MultiDimIndex>> indexes) {
+    std::vector<PersistedIndex> indexes) {
   if (db == nullptr || db->IsEmpty()) {
     return Status::InvalidArgument("search engine: empty database");
   }
@@ -108,8 +51,9 @@ Result<std::unique_ptr<SearchEngine>> SearchEngine::Assemble(
   }
   DESS_RETURN_NOT_OK(CheckSpacesMatchRegistry(spaces, *registry));
   for (int i = 0; i < registry->size(); ++i) {
-    if (indexes[i] == nullptr || indexes[i]->dim() != registry->dim(i) ||
-        indexes[i]->size() != db->NumShapes()) {
+    const MultiDimIndex* packed = indexes[i].packed.get();
+    if (packed == nullptr || packed->dim() != registry->dim(i) ||
+        packed->size() != db->NumShapes()) {
       return Status::InvalidArgument(StrFormat(
           "assemble: index '%s' missing or inconsistent with the database",
           registry->id(i).c_str()));
@@ -118,18 +62,44 @@ Result<std::unique_ptr<SearchEngine>> SearchEngine::Assemble(
   std::unique_ptr<SearchEngine> engine(new SearchEngine());
   engine->db_ = std::move(db);
   engine->options_ = options;
-  engine->options_.build_pool = nullptr;
   engine->registry_ = std::move(registry);
   engine->spaces_ = std::move(spaces);
-  engine->indexes_.reserve(indexes.size());
-  for (auto& index : indexes) engine->indexes_.push_back(std::move(index));
-  // The assembled indexes arrive preloaded (or rebuilt) by the opener;
-  // the engine still resolves each space's backend so query paths know
-  // which indexes are approximate.
-  DESS_RETURN_NOT_OK(engine->ResolveBackends());
   // The persisted stats make standardization bit-reproducible, so the
   // repacked blocks match what Build() would have produced.
   DESS_RETURN_NOT_OK(engine->PackSignatureBlocks());
+  DESS_RETURN_NOT_OK(engine->ResolveBackends());
+  MetricsRegistry* metrics = MetricsRegistry::Global();
+  engine->indexes_.resize(indexes.size());
+  for (int ordinal = 0; ordinal < engine->NumSpaces(); ++ordinal) {
+    PersistedIndex& persisted = indexes[ordinal];
+    const IndexBackendDef& backend = *engine->backends_[ordinal];
+    if (backend.exact) {
+      // Every exact backend returns the exhaustive answer bit-identically,
+      // so the packed R-tree serves for whichever one the options name.
+      engine->indexes_[ordinal] = std::move(persisted.packed);
+      continue;
+    }
+    // An approximate structure is an accelerator, never the data of
+    // record: restore it only from bytes its own backend wrote, and on
+    // absent, foreign or unusable bytes rebuild it deterministically.
+    std::unique_ptr<MultiDimIndex> index;
+    if (backend.deserialize && persisted.graph_backend == backend.id) {
+      Result<std::unique_ptr<MultiDimIndex>> restored =
+          engine->MakeIndex(ordinal, &persisted.graph);
+      if (restored.ok()) {
+        index = std::move(restored).value();
+        metrics->AddCounter("persist.graphs_restored");
+      }
+    }
+    if (index == nullptr) {
+      DESS_ASSIGN_OR_RETURN(index, engine->MakeIndex(ordinal, nullptr));
+      metrics->AddCounter("persist.graphs_rebuilt");
+    }
+    engine->indexes_[ordinal] = std::move(index);
+  }
+  // The pool was borrowed for the build only; a published engine must not
+  // dangle a reference to it.
+  engine->options_.build_pool = nullptr;
   return engine;
 }
 
@@ -197,7 +167,6 @@ Result<std::unique_ptr<SearchEngine>> SearchEngine::Build(
   engine->registry_ = RegistryOrCanonical(options.registry);
   const FeatureSpaceRegistry& registry = *engine->registry_;
   engine->spaces_.resize(registry.size());
-  engine->indexes_.resize(registry.size());
   const ShapeDatabase& store = *engine->db_;
 
   for (int ordinal = 0; ordinal < registry.size(); ++ordinal) {
@@ -236,99 +205,66 @@ Result<std::unique_ptr<SearchEngine>> SearchEngine::Build(
   return engine;
 }
 
-std::string ResolveIndexBackendId(const SearchEngineOptions& options,
-                                  const FeatureSpaceDef& def) {
-  if (!def.index_backend.empty()) return def.index_backend;
-  if (!options.index_backend.empty()) return options.index_backend;
-  switch (options.backend) {
-    case IndexBackend::kDiskRTree:
-      return kDiskRTreeBackendId;
-    case IndexBackend::kLinearScan:
-      return kLinearScanBackendId;
-    case IndexBackend::kRTree:
-      break;
-  }
-  return options.use_rtree ? kRTreeBackendId : kLinearScanBackendId;
-}
-
 Status SearchEngine::ResolveBackends() {
-  const FeatureSpaceRegistry& registry = *registry_;
   const IndexBackendRegistry& backends =
       BackendsOrBuiltIns(options_.index_backends);
-  backend_info_.assign(registry.size(), {});
-  for (int ordinal = 0; ordinal < registry.size(); ++ordinal) {
-    const std::string id =
-        ResolveIndexBackendId(options_, registry.space(ordinal));
-    if (id == kDiskRTreeBackendId) {
-      // The packed on-disk R-tree is exact and selected by id, but built
-      // outside the registry (it needs engine filesystem options).
-      backend_info_[ordinal] = {id, /*exact=*/true, /*supports_range=*/true};
-      continue;
-    }
-    DESS_ASSIGN_OR_RETURN(const IndexBackendDef* def, backends.Resolve(id));
-    backend_info_[ordinal] = {def->id, def->exact, def->supports_range};
+  backends_.assign(registry_->size(), nullptr);
+  for (int ordinal = 0; ordinal < registry_->size(); ++ordinal) {
+    DESS_ASSIGN_OR_RETURN(
+        backends_[ordinal],
+        backends.Resolve(
+            ResolveIndexBackendId(options_, registry_->space(ordinal))));
   }
   return Status::OK();
 }
 
+Result<std::unique_ptr<MultiDimIndex>> SearchEngine::MakeIndex(
+    int ordinal, const std::string* graph) const {
+  const IndexBackendDef& backend = *backends_[ordinal];
+  const FeatureSpaceDef& def = registry_->space(ordinal);
+  IndexBuildContext ctx;
+  ctx.dim = def.dim;
+  ctx.block = blocks_[ordinal].get();
+  ctx.weights = &spaces_[ordinal].weights;
+  ctx.pool = options_.build_pool;
+  ctx.seed = options_.index_seed + static_cast<uint64_t>(ordinal);
+  ctx.space_id = def.id;
+  DESS_ASSIGN_OR_RETURN(std::unique_ptr<MultiDimIndex> index,
+                        graph == nullptr ? backend.factory(ctx)
+                                         : backend.deserialize(ctx, *graph));
+  if (index == nullptr || index->dim() != def.dim ||
+      index->size() != ctx.block->size()) {
+    return Status::Internal(StrFormat(
+        "index backend '%s' built an inconsistent index for space '%s'",
+        backend.id.c_str(), def.id.c_str()));
+  }
+  // The metric family follows the registered id, so a re-registered
+  // backend surfaces as index.<id>.* without code changes.
+  index->BindMetricFamily(backend.id);
+  return index;
+}
+
 Status SearchEngine::BuildIndexes() {
-  const FeatureSpaceRegistry& registry = *registry_;
-  const IndexBackendRegistry& backends =
-      BackendsOrBuiltIns(options_.index_backends);
   DESS_RETURN_NOT_OK(ResolveBackends());
-  indexes_.assign(registry.size(), nullptr);
-  for (int ordinal = 0; ordinal < registry.size(); ++ordinal) {
-    const FeatureSpaceDef& def = registry.space(ordinal);
-    const int dim = def.dim;
-    const SignatureBlock& block = *blocks_[ordinal];
-    const std::string& id = backend_info_[ordinal].id;
-
-    if (id == kDiskRTreeBackendId) {
-      std::error_code ec;
-      std::filesystem::create_directories(options_.disk_index_dir, ec);
-      if (ec) {
-        return Status::IOError("cannot create index directory '" +
-                               options_.disk_index_dir + "': " + ec.message());
-      }
-      std::vector<std::pair<int, std::vector<double>>> bulk;
-      bulk.reserve(block.size());
-      for (size_t r = 0; r < block.size(); ++r) {
-        bulk.emplace_back(block.id(r), block.Row(r));
-      }
-      const std::string path =
-          options_.disk_index_dir + "/" + EngineDiskIndexFile(def.id);
-      DESS_RETURN_NOT_OK(DiskRTree::Build(path, dim, bulk));
-      DESS_ASSIGN_OR_RETURN(std::unique_ptr<DiskRTree> tree,
-                            DiskRTree::Open(path, options_.disk_buffer_pages));
-      indexes_[ordinal] = MakeDiskIndexAdapter(std::move(tree));
-      continue;
-    }
-
-    DESS_ASSIGN_OR_RETURN(const IndexBackendDef* bdef, backends.Resolve(id));
-    IndexBuildContext ctx;
-    ctx.dim = dim;
-    ctx.block = &block;
-    ctx.weights = &spaces_[ordinal].weights;
-    ctx.pool = options_.build_pool;
-    ctx.seed = options_.index_seed + static_cast<uint64_t>(ordinal);
-    ctx.space_id = def.id;
-    DESS_ASSIGN_OR_RETURN(std::unique_ptr<MultiDimIndex> index,
-                          bdef->factory(ctx));
-    if (index == nullptr || index->dim() != dim ||
-        index->size() != block.size()) {
-      return Status::Internal(StrFormat(
-          "index backend '%s' built an inconsistent index for space '%s'",
-          bdef->id.c_str(), def.id.c_str()));
-    }
-    // The metric family follows the registered id, so a re-registered
-    // backend surfaces as index.<id>.* without code changes.
-    index->BindMetricFamily(bdef->id);
-    indexes_[ordinal] = std::move(index);
+  indexes_.assign(registry_->size(), nullptr);
+  for (int ordinal = 0; ordinal < registry_->size(); ++ordinal) {
+    DESS_ASSIGN_OR_RETURN(indexes_[ordinal], MakeIndex(ordinal, nullptr));
   }
   // The pool was borrowed for the build only; a published engine must not
   // dangle a reference to it.
   options_.build_pool = nullptr;
   return Status::OK();
+}
+
+std::optional<std::string> SearchEngine::SerializedIndexAt(
+    int ordinal) const {
+  const IndexBackendDef& backend = *backends_[ordinal];
+  if (backend.exact || !backend.serialize || NumSideRecords() > 0) {
+    return std::nullopt;
+  }
+  Result<std::string> bytes = backend.serialize(*indexes_[ordinal]);
+  if (!bytes.ok()) return std::nullopt;
+  return std::move(bytes).value();
 }
 
 Result<std::unique_ptr<SearchEngine>> SearchEngine::Rebuild(
@@ -368,7 +304,7 @@ Result<std::unique_ptr<SearchEngine>> SearchEngine::Layer(
   engine->db_ = std::move(full_db);
   engine->options_ = base.options_;
   engine->registry_ = base.registry_;
-  engine->backend_info_ = base.backend_info_;
+  engine->backends_ = base.backends_;
   engine->spaces_ = base.spaces_;  // frozen calibration
   engine->indexes_ = base.indexes_;
   engine->blocks_ = base.blocks_;
@@ -512,7 +448,7 @@ Result<std::vector<SearchResult>> SearchEngine::QueryTopKImpl(
   const std::vector<double> q = spaces_[ki].Standardize(raw_feature);
   QueryStats work;
   std::vector<Neighbor> neighbors;
-  if (backend_info_[ki].exact) {
+  if (backends_[ki]->exact) {
     neighbors = indexes_[ki]->KNearest(q, k, w, &work);
   } else {
     // Approximate stage 1: oversample graph candidates, then re-score
@@ -570,7 +506,7 @@ Result<std::vector<SearchResult>> SearchEngine::QueryThresholdImpl(
   const std::vector<double> q = spaces_[ki].Standardize(raw_feature);
   QueryStats work;
   std::vector<Neighbor> neighbors;
-  if (backend_info_[ki].supports_range) {
+  if (backends_[ki]->supports_range) {
     neighbors = indexes_[ki]->RangeQuery(q, radius, w, &work);
   } else {
     // A backend without exact range support (the approximate graph) never

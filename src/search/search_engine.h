@@ -19,7 +19,6 @@
 
 namespace dess {
 
-class DiskRTree;
 class ThreadPool;
 
 /// Immutable overlay of records ingested after an engine's main indexes
@@ -46,7 +45,6 @@ struct DeltaSideIndex {
 enum class IndexBackend {
   kRTree,       // in-memory R-tree (the paper's DATABASE layer)
   kLinearScan,  // brute-force baseline
-  kDiskRTree,   // paged on-disk R-tree behind a buffer pool (future work)
 };
 
 struct SearchEngineOptions {
@@ -58,18 +56,13 @@ struct SearchEngineOptions {
   /// dimensions differ by orders of magnitude).
   bool standardize = true;
   /// Explicit backend selection; kRTree/kLinearScan mirror `use_rtree`.
-  /// kDiskRTree persists one index file per feature space under
-  /// `disk_index_dir`. A space whose FeatureSpaceDef names a backend
-  /// overrides this engine-wide choice.
+  /// A space whose FeatureSpaceDef names a backend overrides this
+  /// engine-wide choice.
   IndexBackend backend = IndexBackend::kRTree;
-  /// Directory for kDiskRTree index files (created if missing).
-  std::string disk_index_dir = ".";
-  /// Buffer-pool frames per on-disk index.
-  int disk_buffer_pages = 64;
   /// String-keyed backend selection, resolved against `index_backends`;
   /// takes precedence over `backend`/`use_rtree` when non-empty. A space
   /// whose FeatureSpaceDef names a backend overrides this engine-wide
-  /// choice (see ResolveIndexBackendId for the full precedence).
+  /// choice.
   std::string index_backend;
   /// Backend registry the engine resolves ids against. Null means the
   /// built-ins (linear_scan, rtree, hnsw).
@@ -92,23 +85,28 @@ struct SearchEngineOptions {
   std::shared_ptr<const FeatureSpaceRegistry> registry;
 };
 
-/// The backend id the engine will use for one space, in precedence order:
-/// the space's explicit FeatureSpaceDef::index_backend, the engine-wide
-/// SearchEngineOptions::index_backend, and finally the legacy
-/// enum/use_rtree pair. Returns kDiskRTreeBackendId for the packed on-disk
-/// R-tree, which is selected like a backend but built outside the registry.
-std::string ResolveIndexBackendId(const SearchEngineOptions& options,
-                                  const FeatureSpaceDef& def);
+/// One space's index as a snapshot persisted it, handed to
+/// SearchEngine::Assemble. `packed` is the snapshot's packed R-tree over
+/// the space's standardized rows (required). `graph` holds an approximate
+/// backend's serialized structure (SearchEngine::SerializedIndexAt) and
+/// `graph_backend` the id of the backend that wrote it; both are empty
+/// when the snapshot carries none for the space.
+struct PersistedIndex {
+  std::unique_ptr<MultiDimIndex> packed;
+  std::string graph_backend;
+  std::string graph;
+};
 
 /// Query-by-example engine over a frozen ShapeDatabase view: owns one
 /// similarity space and one multidimensional index per feature kind.
 ///
 /// The engine shares ownership of the database view it was built from, so
 /// a built engine is self-contained and immutable: every query method is
-/// const and safe to call from many threads concurrently (the on-disk
-/// backend serializes its buffer pool internally). SetWeights is the one
-/// mutator and must not race with queries; snapshot-published engines never
-/// call it — per-query weights go through QueryRequest::weights instead.
+/// const and safe to call from many threads concurrently (a snapshot's
+/// packed R-tree serializes its buffer pool internally). SetWeights is the
+/// one mutator and must not race with queries; snapshot-published engines
+/// never call it — per-query weights go through QueryRequest::weights
+/// instead.
 class SearchEngine {
  public:
   /// Builds similarity spaces and indexes from the database contents. The
@@ -117,17 +115,23 @@ class SearchEngine {
       std::shared_ptr<const ShapeDatabase> db,
       const SearchEngineOptions& options = {});
 
-  /// Assembles an engine from preloaded parts — the persistence layer's
-  /// cold-start path, which restores spaces and indexes from a snapshot
-  /// directory instead of recomputing them. `spaces[i]`/`indexes[i]` must
-  /// describe the i-th space of the registry (options.registry, canonical
-  /// when null) over exactly the shapes of `db`; dimensions and sizes are
-  /// validated, contents are trusted.
+  /// Assembles an engine from a snapshot's parts — the persistence
+  /// layer's cold-start path, which restores calibrated spaces instead of
+  /// recomputing them. `spaces[i]`/`indexes[i]` must describe the i-th
+  /// space of the registry (options.registry, canonical when null) over
+  /// exactly the shapes of `db`; dimensions and sizes are validated,
+  /// contents are trusted. Each space is served by the backend the
+  /// options resolve: an exact backend serves straight from the packed
+  /// R-tree, which answers exactly as any exact backend would; an
+  /// approximate one restores its structure from `graph` when
+  /// `graph_backend` names it and the bytes deserialize, and otherwise
+  /// rebuilds it from the packed rows (counters persist.graphs_restored /
+  /// persist.graphs_rebuilt).
   static Result<std::unique_ptr<SearchEngine>> Assemble(
       std::shared_ptr<const ShapeDatabase> db,
       const SearchEngineOptions& options,
       std::vector<SimilaritySpace> spaces,
-      std::vector<std::unique_ptr<MultiDimIndex>> indexes);
+      std::vector<PersistedIndex> indexes);
 
   /// Like Build, but reuses previously calibrated similarity spaces
   /// instead of recalibrating over `db` — the frozen-calibration path
@@ -179,17 +183,19 @@ class SearchEngine {
 
   /// The backend id serving one space's main index.
   const std::string& BackendIdAt(int ordinal) const {
-    return backend_info_[ordinal].id;
+    return backends_[ordinal]->id;
   }
   /// False when the space's main index is approximate: top-k answers are
   /// exactly re-scored oversampled graph candidates, and multi-step plans
   /// widen their first-stage keep to compensate for recall.
-  bool IsExactAt(int ordinal) const { return backend_info_[ordinal].exact; }
-  /// The main index serving one space (borrowed; owned by the engine).
-  /// Persistence hands this to the backend's serialize hook.
-  const MultiDimIndex& IndexAt(int ordinal) const {
-    return *indexes_[ordinal];
-  }
+  bool IsExactAt(int ordinal) const { return backends_[ordinal]->exact; }
+  /// The bytes a snapshot persists for one space's main index (its graph
+  /// section): the approximate backend's serialized structure. nullopt
+  /// when there is nothing to persist — an exact backend (a reopen serves
+  /// it from the packed R-tree), a backend without a serialize hook, an
+  /// index the hook cannot serialize, or a layered engine, whose main
+  /// index misses the side records every other section covers.
+  std::optional<std::string> SerializedIndexAt(int ordinal) const;
 
   /// The packed standardized-signature block of one space (one row per
   /// database shape, in record order). Owned by the engine — and therefore
@@ -306,10 +312,17 @@ class SearchEngine {
   /// and fills row_of_. Shared by Build, Rebuild and Assemble.
   Status PackSignatureBlocks();
 
-  /// Builds the per-space backend indexes from the packed blocks (honors
-  /// options_.backend and per-space preferences). Shared by Build and
+  /// Resolves backends_ from the options and registry, then builds every
+  /// space's index through its backend's factory. Shared by Build and
   /// Rebuild; requires blocks_ to be packed.
   Status BuildIndexes();
+
+  /// Builds one space's index over its packed block through the backend's
+  /// factory, or restores it with the backend's deserialize hook when
+  /// `graph` is non-null. Validates the result's shape and binds the
+  /// backend's metric family. Requires backends_ and blocks_.
+  Result<std::unique_ptr<MultiDimIndex>> MakeIndex(
+      int ordinal, const std::string* graph) const;
 
   /// Validates `spaces` against the registry (ids, weight dims) — shared
   /// by Assemble and Rebuild.
@@ -317,24 +330,19 @@ class SearchEngine {
       const std::vector<SimilaritySpace>& spaces,
       const FeatureSpaceRegistry& registry);
 
-  /// Per-space backend resolution, computed once at build/assemble time
-  /// (and copied by Layer): the id plus the capability flags every query
-  /// path branches on.
-  struct BackendInfo {
-    std::string id;
-    bool exact = true;
-    bool supports_range = true;
-  };
-
-  /// Fills backend_info_ from the options and registry — shared by
-  /// Build/Rebuild (which also construct the indexes) and Assemble (whose
-  /// indexes arrive preloaded).
+  /// Fills backends_ from the options and registry — shared by
+  /// BuildIndexes and Assemble.
   Status ResolveBackends();
 
   std::shared_ptr<const ShapeDatabase> db_;
   SearchEngineOptions options_;
   std::shared_ptr<const FeatureSpaceRegistry> registry_;
-  std::vector<BackendInfo> backend_info_;
+  // Per registry ordinal, the backend serving the main index: its id plus
+  // the capability flags every query path branches on. Resolved once at
+  // build/assemble time and copied by Layer; the pointees live in
+  // options_.index_backends (kept alive by the engine's own options) or
+  // in the static built-ins.
+  std::vector<const IndexBackendDef*> backends_;
   std::vector<SimilaritySpace> spaces_;
   // Indexes, packed blocks and the row map are immutable once built and
   // shared untouched with engines layered on top of this one, so a delta
@@ -344,13 +352,6 @@ class SearchEngine {
   std::shared_ptr<const std::unordered_map<int, size_t>> row_of_;
   std::shared_ptr<const DeltaSideIndex> side_;
 };
-
-/// Wraps an opened DiskRTree in the MultiDimIndex interface (queries are
-/// serialized internally — the buffer pool mutates frame state on every
-/// fetch). Used by SearchEngine::Build's kDiskRTree backend and by the
-/// persistence layer when reopening a snapshot's packed index files.
-std::unique_ptr<MultiDimIndex> MakeDiskIndexAdapter(
-    std::unique_ptr<DiskRTree> tree);
 
 }  // namespace dess
 

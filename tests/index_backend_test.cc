@@ -30,9 +30,6 @@ TEST(IndexBackendRegistryTest, SeededWithBuiltIns) {
   EXPECT_GE(registry.IndexOf(kLinearScanBackendId), 0);
   EXPECT_GE(registry.IndexOf(kRTreeBackendId), 0);
   EXPECT_GE(registry.IndexOf(kHnswBackendId), 0);
-  // The packed on-disk R-tree is addressed by id but built outside the
-  // registry (it needs engine filesystem options).
-  EXPECT_EQ(registry.IndexOf(kDiskRTreeBackendId), -1);
 
   auto linear = registry.Resolve(kLinearScanBackendId);
   ASSERT_TRUE(linear.ok());

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <unistd.h>
 
 #include "src/search/search_engine.h"
 #include "tests/test_util.h"
@@ -246,37 +244,6 @@ TEST_F(SearchEngineTest, RawAndStandardizedModesRankConsistentlyOnTightGroups) {
     for (const SearchResult& r : *b) sb.insert(r.id);
     EXPECT_EQ(sa, sb) << "query " << q;
   }
-}
-
-TEST_F(SearchEngineTest, DiskBackendMatchesInMemory) {
-  SearchEngineOptions disk_opt;
-  disk_opt.backend = IndexBackend::kDiskRTree;
-  disk_opt.disk_index_dir =
-      (std::filesystem::temp_directory_path() /
-       ("dess_engine_idx_" + std::to_string(::getpid())))
-          .string();
-  auto disk_engine =
-      SearchEngine::Build(std::make_shared<const ShapeDatabase>(db_), disk_opt);
-  ASSERT_TRUE(disk_engine.ok()) << disk_engine.status().ToString();
-  for (FeatureKind kind : AllFeatureKinds()) {
-    auto a = Ranked(engine_->QueryById(5, QueryRequest::TopK(kind, 10)));
-    auto b =
-        Ranked((*disk_engine)->QueryById(5, QueryRequest::TopK(kind, 10)));
-    ASSERT_TRUE(a.ok() && b.ok()) << FeatureKindName(kind);
-    ASSERT_EQ(a->size(), b->size());
-    for (size_t i = 0; i < a->size(); ++i) {
-      EXPECT_NEAR((*a)[i].distance, (*b)[i].distance, 1e-9)
-          << FeatureKindName(kind);
-    }
-    // Threshold queries ride the same disk index.
-    auto ta =
-        Ranked(engine_->QueryById(5, QueryRequest::Threshold(kind, 0.8)));
-    auto tb = Ranked(
-        (*disk_engine)->QueryById(5, QueryRequest::Threshold(kind, 0.8)));
-    ASSERT_TRUE(ta.ok() && tb.ok());
-    EXPECT_EQ(ta->size(), tb->size()) << FeatureKindName(kind);
-  }
-  std::filesystem::remove_all(disk_opt.disk_index_dir);
 }
 
 TEST(SimilaritySpaceTest, LargeSetUsesBoundingBoxDiagonalForDmax) {

@@ -248,20 +248,23 @@ TEST_F(SnapshotFuzzTest, TruncatedManifestFailsCleanly) {
 
 TEST_F(SnapshotFuzzTest, VersionSkewWithValidChecksumIsFailedPrecondition) {
   // A future writer bumps the version and re-seals the manifest: the CRC is
-  // valid, so the reader must report skew, not corruption. Rebuild the
-  // manifest tail CRC after patching the version field (offset 4).
-  const std::filesystem::path variant = MakeVariant();
-  std::vector<char> bytes = ReadFile(variant / kSnapshotManifestFile);
-  ASSERT_GT(bytes.size(), 36u);
-  const uint32_t future = kSnapshotFormatVersion + 1;
-  std::memcpy(bytes.data() + 4, &future, sizeof(future));
-  const uint32_t crc = Crc32c(bytes.data(), bytes.size() - 4);
-  std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
-  WriteFile(variant / kSnapshotManifestFile, bytes);
-  auto result = Dess3System::OpenFromSnapshot(variant.string());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition)
-      << result.status().ToString();
+  // valid, so the reader must report skew, not corruption. The same holds
+  // for the retired older versions: this build reads exactly one format.
+  // Rebuild the manifest tail CRC after patching the version field
+  // (offset 4).
+  for (const uint32_t version : {kSnapshotFormatVersion + 1, 1u, 2u}) {
+    const std::filesystem::path variant = MakeVariant();
+    std::vector<char> bytes = ReadFile(variant / kSnapshotManifestFile);
+    ASSERT_GT(bytes.size(), 36u);
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    const uint32_t crc = Crc32c(bytes.data(), bytes.size() - 4);
+    std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+    WriteFile(variant / kSnapshotManifestFile, bytes);
+    auto result = Dess3System::OpenFromSnapshot(variant.string());
+    ASSERT_FALSE(result.ok()) << "version " << version;
+    EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition)
+        << "version " << version << ": " << result.status().ToString();
+  }
 }
 
 TEST_F(SnapshotFuzzTest, MissingManifestIsNotFound) {
