@@ -59,14 +59,27 @@ const NormalizationResult& SampleNormalized() {
   return *norm;
 }
 
-const VoxelGrid& SampleVoxels(int resolution) {
+// The voxelized sample as VoxelizeMesh returns it, before the pipeline
+// keeps its largest component.
+const VoxelGrid& SampleRawVoxels(int resolution) {
   static std::map<int, VoxelGrid>* cache = new std::map<int, VoxelGrid>();
   auto it = cache->find(resolution);
   if (it == cache->end()) {
     VoxelizationOptions opt;
     opt.resolution = resolution;
-    auto grid = VoxelizeMesh(SampleNormalized().mesh, opt);
-    it = cache->emplace(resolution, KeepLargestComponent(*grid)).first;
+    it = cache->emplace(resolution,
+                        *VoxelizeMesh(SampleNormalized().mesh, opt)).first;
+  }
+  return it->second;
+}
+
+const VoxelGrid& SampleVoxels(int resolution) {
+  static std::map<int, VoxelGrid>* cache = new std::map<int, VoxelGrid>();
+  auto it = cache->find(resolution);
+  if (it == cache->end()) {
+    it = cache->emplace(resolution,
+                        KeepLargestComponent(SampleRawVoxels(resolution)))
+             .first;
   }
   return it->second;
 }
@@ -134,6 +147,16 @@ BENCHMARK(BM_Thinning)
     ->Args({64, 1})
     ->Args({64, 8})
     ->MinTime(0.5);
+
+// Largest-component selection between voxelization and thinning: one
+// 26-connected labelling pass over the grid, a count, and a rewrite.
+void BM_LargestComponent(benchmark::State& state) {
+  const VoxelGrid& grid = SampleRawVoxels(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(KeepLargestComponent(grid));
+  }
+}
+BENCHMARK(BM_LargestComponent)->ArgName("res")->Arg(32)->Arg(64)->MinTime(0.5);
 
 void BM_GraphAndSpectrum(benchmark::State& state) {
   const VoxelGrid skeleton = ThinToSkeleton(SampleVoxels(32));

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # The full CI gate, runnable locally: the tier-1 suite under the `ci`
 # preset; under ASan/UBSan the persistence parsers (ctest label `persist`),
-# the index backends (`ann`) and feature extraction (`extract`: extractors
-# now run over partially built pipeline artifacts, so one that reads a
-# stage that never ran must fail loudly); and the concurrent serving layer
-# under TSan (label `tsan`). Any failing step fails the script.
+# the index backends (`ann`) and feature extraction (`extract`:
+# extractors_test runs extractors over partially built pipeline artifacts,
+# so one that reads a stage that never ran must fail loudly;
+# extract_parity_test checks the border-list thinning and the run-based
+# component labelling, whose unchecked flat-index reads must stay in
+# bounds, against their full-scan references); and the concurrent serving
+# layer under TSan (label `tsan`). Any failing step fails the script.
 #
 # Usage: scripts/ci.sh [--fast]
 #   --fast   tier-1 only (skip the sanitizer passes)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <vector>
@@ -93,27 +94,36 @@ inline bool SingleBackgroundComponent6(uint32_t nb) {
   return (seeds & ~first) == 0;
 }
 
-// Extracts the neighborhood of (i,j,k) as a bit mask; out-of-bounds cells
-// read as 0. Interior voxels take the strided fast path (nine 3-byte row
-// loads, no bounds checks); only the O(N^2) shell falls back to clamped
-// reads.
-uint32_t NeighborhoodMask(const VoxelGrid& grid, int i, int j, int k) {
+// Extracts the neighborhood of an interior voxel (all 26 neighbors in
+// bounds) at linear index `idx` as a bit mask: nine 3-byte row loads at flat
+// strides, no bounds checks.
+inline uint32_t InteriorMask(const uint8_t* raw, size_t idx, ptrdiff_t sy,
+                             ptrdiff_t sz) {
   uint32_t mask = 0;
+  int n = 0;
+  for (int dz = -1; dz <= 1; ++dz) {
+    for (int dy = -1; dy <= 1; ++dy) {
+      const uint8_t* row =
+          raw + (static_cast<ptrdiff_t>(idx) - 1 + dy * sy + dz * sz);
+      if (row[0]) mask |= 1u << n;
+      if (row[1]) mask |= 1u << (n + 1);
+      if (row[2]) mask |= 1u << (n + 2);
+      n += 3;
+    }
+  }
+  return mask;
+}
+
+// Extracts the neighborhood of (i,j,k) as a bit mask; out-of-bounds cells
+// read as 0. Interior voxels take the strided fast path; only the O(N^2)
+// shell falls back to clamped reads.
+uint32_t NeighborhoodMask(const VoxelGrid& grid, int i, int j, int k) {
   if (i >= 1 && i + 1 < grid.nx() && j >= 1 && j + 1 < grid.ny() && k >= 1 &&
       k + 1 < grid.nz()) {
-    const uint8_t* raw = grid.raw().data();
-    int n = 0;
-    for (int dz = -1; dz <= 1; ++dz) {
-      for (int dy = -1; dy <= 1; ++dy) {
-        const uint8_t* row = raw + grid.Index(i - 1, j + dy, k + dz);
-        if (row[0]) mask |= 1u << n;
-        if (row[1]) mask |= 1u << (n + 1);
-        if (row[2]) mask |= 1u << (n + 2);
-        n += 3;
-      }
-    }
-    return mask;
+    return InteriorMask(grid.raw().data(), grid.Index(i, j, k), grid.nx(),
+                        static_cast<ptrdiff_t>(grid.nx()) * grid.ny());
   }
+  uint32_t mask = 0;
   int n = 0;
   for (int dz = -1; dz <= 1; ++dz)
     for (int dy = -1; dy <= 1; ++dy)
@@ -122,109 +132,197 @@ uint32_t NeighborhoodMask(const VoxelGrid& grid, int i, int j, int k) {
   return mask;
 }
 
-// Simple-and-not-protected test of one object voxel against the current
-// grid state; shared by the candidate collection and the serial recheck so
-// both phases apply the identical predicate.
-inline bool IsDeletable(const VoxelGrid& grid, int i, int j, int k,
-                        bool preserve_endpoints) {
-  const uint32_t nb = NeighborhoodMask(grid, i, j, k);
+// Simple-and-not-protected test of an object voxel's neighborhood; shared
+// by the candidate collection and the serial recheck so both phases apply
+// the identical predicate.
+inline bool IsDeletable(uint32_t nb, bool preserve_endpoints) {
   const int obj = std::popcount(nb & ~kCenterBit);
   if (preserve_endpoints && obj <= 1) return false;
   if (obj == 0) return false;  // isolated voxel: deletion kills a component
   return SingleObjectComponent26(nb) && SingleBackgroundComponent6(nb);
 }
 
-using Coord = std::array<int, 3>;
+// Face-neighbor offsets (i, j, k), which are also the six subiteration
+// directions: Up, Down, North, South, East, West borders in the
+// Palagyi-Kuba order.
+constexpr int kFaceDirs[6][3] = {{0, 0, 1},  {0, 0, -1}, {0, 1, 0},
+                                 {0, -1, 0}, {1, 0, 0},  {-1, 0, 0}};
 
-// Collects, in (k, j, i) scan order, the voxels of k-range [ks, ke) that
-// are border in direction d, simple, and not protected endpoints. Pure
-// read of the grid, so concurrent slab workers need no synchronization.
-void CollectCandidates(const VoxelGrid& grid, const int d[3], int ks, int ke,
-                       bool preserve_endpoints, std::vector<Coord>* out) {
-  const int nx = grid.nx(), ny = grid.ny(), nz = grid.nz();
-  const uint8_t* raw = grid.raw().data();
-  const ptrdiff_t d_stride = d[0] + static_cast<ptrdiff_t>(d[1]) * nx +
-                             static_cast<ptrdiff_t>(d[2]) * nx * ny;
-  for (int k = ks; k < ke; ++k) {
-    for (int j = 0; j < ny; ++j) {
-      const size_t base = (static_cast<size_t>(k) * ny + j) * nx;
-      const int nj = j + d[1], nk = k + d[2];
-      const bool row_nb_in_bounds = nj >= 0 && nj < ny && nk >= 0 && nk < nz;
-      for (int i = 0; i < nx; ++i) {
-        if (!raw[base + i]) continue;
-        // Not a d-border voxel if the d-neighbor exists and is set.
-        const int ni = i + d[0];
-        if (row_nb_in_bounds && ni >= 0 && ni < nx && raw[base + i + d_stride])
-          continue;
-        if (IsDeletable(grid, i, j, k, preserve_endpoints)) {
-          out->push_back({i, j, k});
+// Amortized cost of one border-list entry in a subiteration: the d-border
+// test for every entry plus the simple-point test for the d-border share.
+constexpr double kNsPerBorderVoxel = 25.0;
+
+// The border list of one ThinToSkeleton call: every object voxel with an
+// empty or out-of-bounds face neighbor. Only those can be d-border voxels,
+// and deletions never refill a voxel, so each subiteration filters the list
+// instead of scanning the grid.
+//
+// An entry is a voxel's linear index shifted left by one, with the low bit
+// set for voxels on the grid shell, the only ones that need bounds checks.
+// A grid's index stays below PTRDIFF_MAX, so the shift cannot overflow, and
+// entries order as their indices do: the full scan's (k, j, i) order.
+class BorderList {
+ public:
+  explicit BorderList(VoxelGrid* grid)
+      : grid_(*grid),
+        raw_(grid->mutable_raw().data()),
+        sy_(grid->nx()),
+        sz_(static_cast<ptrdiff_t>(grid->nx()) * grid->ny()),
+        state_(grid->size(), 0) {
+    const int nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
+    for (int k = 0; k < nz; ++k) {
+      for (int j = 0; j < ny; ++j) {
+        const bool row_shell = j == 0 || j + 1 == ny || k == 0 || k + 1 == nz;
+        for (int i = 0; i < nx; ++i) {
+          const size_t idx = grid_.Index(i, j, k);
+          const bool shell = row_shell || i == 0 || i + 1 == nx;
+          if (shell) state_[idx] = kShell;
+          if (!raw_[idx]) continue;
+          if (!shell && raw_[idx - 1] && raw_[idx + 1] && raw_[idx - sy_] &&
+              raw_[idx + sy_] && raw_[idx - sz_] && raw_[idx + sz_]) {
+            continue;
+          }
+          List(idx);
         }
       }
     }
   }
-}
+
+  size_t size() const { return border_.size(); }
+
+  // Appends the entries border[lo, hi) that are border in direction d,
+  // simple, and not protected endpoints. A pure read of the grid, so
+  // concurrent workers on disjoint ranges need no synchronization.
+  void Collect(const int d[3], size_t lo, size_t hi, bool preserve_endpoints,
+               std::vector<uint64_t>* out) const {
+    const ptrdiff_t d_stride = d[0] + d[1] * sy_ + d[2] * sz_;
+    for (size_t n = lo; n < hi; ++n) {
+      const uint64_t e = border_[n];
+      const size_t idx = e >> 1;
+      // Not a d-border voxel if the d-neighbor exists and is set.
+      if (e & 1) {
+        const auto [i, j, k] = Coords(idx);
+        if (grid_.GetClamped(i + d[0], j + d[1], k + d[2])) continue;
+      } else if (raw_[idx + d_stride]) {
+        continue;
+      }
+      if (IsDeletable(Mask(e), preserve_endpoints)) out->push_back(e);
+    }
+  }
+
+  // Re-checks the candidates in order against the mutating grid and deletes
+  // the voxels still deletable; returns how many it deleted. Deleted voxels
+  // leave the border list and their unlisted object face neighbors join it.
+  size_t Delete(const std::vector<uint64_t>& candidates,
+                bool preserve_endpoints) {
+    deleted_.clear();
+    for (const uint64_t e : candidates) {
+      if (!raw_[e >> 1]) continue;
+      if (!IsDeletable(Mask(e), preserve_endpoints)) continue;
+      raw_[e >> 1] = 0;
+      deleted_.push_back(e);
+    }
+    if (deleted_.empty()) return 0;
+    std::erase_if(border_, [&](uint64_t e) { return !raw_[e >> 1]; });
+    const ptrdiff_t faces[6] = {-sz_, -sy_, -1, 1, sy_, sz_};
+    for (const uint64_t e : deleted_) {
+      const size_t idx = e >> 1;
+      if (!(e & 1)) {
+        for (const ptrdiff_t f : faces) ListIfObject(idx + f);
+        continue;
+      }
+      const auto [i, j, k] = Coords(idx);
+      for (const auto& f : kFaceDirs) {
+        if (grid_.InBounds(i + f[0], j + f[1], k + f[2])) {
+          ListIfObject(grid_.Index(i + f[0], j + f[1], k + f[2]));
+        }
+      }
+    }
+    return deleted_.size();
+  }
+
+ private:
+  static constexpr uint8_t kShell = 1;
+  static constexpr uint8_t kListed = 2;
+
+  void List(size_t idx) {
+    state_[idx] |= kListed;
+    border_.push_back(static_cast<uint64_t>(idx) << 1 |
+                      (state_[idx] & kShell));
+  }
+
+  void ListIfObject(size_t idx) {
+    if (raw_[idx] && !(state_[idx] & kListed)) List(idx);
+  }
+
+  std::array<int, 3> Coords(size_t idx) const {
+    const size_t row = idx / grid_.nx();
+    return {static_cast<int>(idx % grid_.nx()),
+            static_cast<int>(row % grid_.ny()),
+            static_cast<int>(row / grid_.ny())};
+  }
+
+  uint32_t Mask(uint64_t e) const {
+    if (!(e & 1)) return InteriorMask(raw_, e >> 1, sy_, sz_);
+    const auto [i, j, k] = Coords(e >> 1);
+    return NeighborhoodMask(grid_, i, j, k);
+  }
+
+  const VoxelGrid& grid_;
+  uint8_t* raw_;
+  const ptrdiff_t sy_, sz_;
+  // Per voxel: kShell if it lies on the grid shell, kListed once listed.
+  std::vector<uint8_t> state_;
+  std::vector<uint64_t> border_;
+  std::vector<uint64_t> deleted_;
+};
 
 }  // namespace
 
 bool IsSimplePoint(const VoxelGrid& grid, int i, int j, int k) {
   const uint32_t nb = NeighborhoodMask(grid, i, j, k);
-  if (!(nb & kCenterBit)) return false;
-  const int obj = std::popcount(nb & ~kCenterBit);
-  if (obj == 0) return false;  // isolated voxel: deletion kills a component
-  return SingleObjectComponent26(nb) && SingleBackgroundComponent6(nb);
+  return (nb & kCenterBit) && IsDeletable(nb, /*preserve_endpoints=*/false);
 }
 
 VoxelGrid ThinToSkeleton(const VoxelGrid& solid,
                          const ThinningOptions& options) {
   DESS_TIMED_SCOPE("stage.thin");
   VoxelGrid grid = solid;
-  const int nz = grid.nz();
-  // Direction vectors for the six subiterations: Up, Down, North, South,
-  // East, West borders in the Palagyi-Kuba order.
-  const int dirs[6][3] = {{0, 0, 1},  {0, 0, -1}, {0, 1, 0},
-                          {0, -1, 0}, {1, 0, 0},  {-1, 0, 0}};
-
-  // Each subiteration scans the whole grid (~2ns/voxel of mask work);
-  // only fan out when a worker's share clears the 2ms amortization floor
-  // of RecommendedWorkers and the machine actually has idle cores —
-  // otherwise the serial path is faster (see BENCH threads series).
-  const int slabs = std::min(
-      RecommendedWorkers(options.pool, 2.0 * static_cast<double>(grid.size()),
-                         2e6),
-      nz);
-  std::vector<std::vector<Coord>> slab_candidates(slabs);
-  std::vector<Coord> candidates;
+  BorderList border(&grid);
+  std::vector<std::vector<uint64_t>> part_candidates;
+  std::vector<uint64_t> candidates;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     size_t deleted_this_iter = 0;
-    for (const auto& d : dirs) {
-      // Phase 1: collect candidates across z-slabs. Each worker scans a
-      // disjoint k-range in (k, j, i) order against the frozen grid, so
-      // concatenating the per-slab lists in slab order reproduces the
-      // serial scan order exactly.
+    for (const auto& d : kFaceDirs) {
+      // Phase 1: filter the border list against the frozen grid, over
+      // contiguous parts in parallel when each worker's share clears the
+      // 2ms amortization floor of RecommendedWorkers.
       candidates.clear();
-      if (slabs <= 1) {
-        CollectCandidates(grid, d, 0, nz, options.preserve_endpoints,
-                          &candidates);
+      const size_t n = border.size();
+      const int parts = RecommendedWorkers(
+          options.pool, kNsPerBorderVoxel * static_cast<double>(n), 2e6);
+      if (parts <= 1) {
+        border.Collect(d, 0, n, options.preserve_endpoints, &candidates);
       } else {
-        ParallelFor(options.pool, slabs, [&](size_t s) {
-          slab_candidates[s].clear();
-          CollectCandidates(grid, d, static_cast<int>(s * nz / slabs),
-                            static_cast<int>((s + 1) * nz / slabs),
-                            options.preserve_endpoints, &slab_candidates[s]);
+        part_candidates.resize(parts);
+        ParallelFor(options.pool, parts, [&](size_t p) {
+          part_candidates[p].clear();
+          border.Collect(d, p * n / parts, (p + 1) * n / parts,
+                         options.preserve_endpoints, &part_candidates[p]);
         });
-        for (const auto& part : slab_candidates) {
-          candidates.insert(candidates.end(), part.begin(), part.end());
+        for (int p = 0; p < parts; ++p) {
+          candidates.insert(candidates.end(), part_candidates[p].begin(),
+                            part_candidates[p].end());
         }
       }
+      // The list holds every d-border voxel exactly once, so in index order
+      // the candidates are exactly those of a full-grid scan.
+      std::sort(candidates.begin(), candidates.end());
       // Phase 2: delete sequentially, re-checking simplicity against the
       // mutated grid so that parallel deletions cannot break topology (and
-      // so the skeleton is identical for every slab count).
-      for (const auto& [i, j, k] : candidates) {
-        if (!grid.Get(i, j, k)) continue;
-        if (!IsDeletable(grid, i, j, k, options.preserve_endpoints)) continue;
-        grid.Set(i, j, k, false);
-        ++deleted_this_iter;
-      }
+      // so the skeleton is identical for every worker count).
+      deleted_this_iter +=
+          border.Delete(candidates, options.preserve_endpoints);
     }
     if (deleted_this_iter == 0) break;
   }

@@ -17,9 +17,10 @@ struct ThinningOptions {
   /// never deleted, producing a curve skeleton suitable for skeletal-graph
   /// construction. If false, a connected blob thins to a single voxel.
   bool preserve_endpoints = true;
-  /// Optional worker pool: each directional subiteration collects its
-  /// simple-point candidates over disjoint z-slabs in parallel, then
-  /// deletions are applied in the serial recheck order, so the skeleton is
+  /// Optional worker pool: when the border list is long enough to pay for
+  /// the dispatch (see RecommendedWorkers), each directional subiteration
+  /// filters contiguous parts of it in parallel; the candidates are then
+  /// sorted and deleted in the serial recheck order, so the skeleton is
   /// bit-identical to the sequential result. Null means serial.
   /// Non-owning; the pool must outlive the call.
   ThreadPool* pool = nullptr;
@@ -30,6 +31,14 @@ struct ThinningOptions {
 /// deleted only if they are *simple* (deletion preserves both object
 /// 26-topology and background 6-topology, checked via the Bertrand-
 /// Malandain local characterization) and not protected endpoints.
+///
+/// Each subiteration visits only a border list (the object voxels with an
+/// empty or out-of-bounds face neighbor), kept current as voxels are
+/// deleted, not the whole grid. The candidates are tested against
+/// the grid as it stood when the subiteration began, then re-checked and
+/// deleted in (k, j, i) scan order, exactly as a full-grid scan would.
+/// Voxels on the grid boundary are handled like any other: out-of-bounds
+/// cells read as empty.
 ///
 /// The result is a subset of the input voxels: thinning preserves topology
 /// (component count, cavities, tunnels) but, as the paper notes, is not

@@ -1,6 +1,9 @@
 #include "src/voxel/morphology.h"
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 
 namespace dess {
@@ -85,29 +88,74 @@ VoxelGrid Erode(const VoxelGrid& grid, Connectivity conn) {
 
 int LabelComponents(const VoxelGrid& grid, Connectivity conn,
                     std::vector<int>* labels) {
-  labels->assign(grid.size(), 0);
-  const auto& offs = Offsets(conn);
+  const int nx = grid.nx(), ny = grid.ny(), nz = grid.nz();
+  // The flood labels whole x-runs (maximal rows of set voxels) at a time. A
+  // run [x0, x1] of row (j, k) reaches, in each neighbor row (j+dj, k+dk),
+  // the voxels [x0 - reach, x1 + reach]: reach 1 when the diagonal step
+  // dx = +-1 is still within `conn`, else 0. Rows are addressed by flat
+  // strides; bounds are checked once per row, not per voxel.
+  const int max_manhattan =
+      conn == Connectivity::k6 ? 1 : conn == Connectivity::k18 ? 2 : 3;
+  struct NeighborRow {
+    int dj, dk, reach;
+    ptrdiff_t stride;
+  };
+  std::array<NeighborRow, 8> rows{};
+  size_t num_rows = 0;
+  for (int dk = -1; dk <= 1; ++dk) {
+    for (int dj = -1; dj <= 1; ++dj) {
+      const int manhattan = std::abs(dj) + std::abs(dk);
+      if (manhattan == 0 || manhattan > max_manhattan) continue;
+      rows[num_rows++] = {dj, dk, manhattan < max_manhattan ? 1 : 0,
+                          static_cast<ptrdiff_t>(dj) * nx +
+                              static_cast<ptrdiff_t>(dk) * nx * ny};
+    }
+  }
+  // Set voxels start as kUnlabeled; runs are labeled whole, so one load
+  // tells whether a run still needs its label.
+  constexpr int kUnlabeled = -1;
+  const std::vector<uint8_t>& raw = grid.raw();
+  labels->resize(raw.size());
+  int* label = labels->data();
+  for (size_t idx = 0; idx < raw.size(); ++idx) {
+    label[idx] = raw[idx] ? kUnlabeled : 0;
+  }
+  struct Run {
+    int j, k, x0, x1;
+  };
+  std::vector<Run> stack;
   int next_label = 0;
-  std::vector<std::array<int, 3>> stack;
-  for (int k = 0; k < grid.nz(); ++k) {
-    for (int j = 0; j < grid.ny(); ++j) {
-      for (int i = 0; i < grid.nx(); ++i) {
-        if (!grid.Get(i, j, k) || (*labels)[grid.Index(i, j, k)] != 0) {
-          continue;
-        }
+  for (int k = 0; k < nz; ++k) {
+    for (int j = 0; j < ny; ++j) {
+      int* row = label + grid.Index(0, j, k);
+      for (int i = 0; i < nx; ++i) {
+        if (row[i] != kUnlabeled) continue;
+        // Voxels left of i in this row are empty or already labeled, so
+        // the seed's run starts at i.
         ++next_label;
-        (*labels)[grid.Index(i, j, k)] = next_label;
-        stack.push_back({i, j, k});
+        int x1 = i;
+        while (x1 + 1 < nx && row[x1 + 1] == kUnlabeled) ++x1;
+        std::fill(row + i, row + x1 + 1, next_label);
+        stack.push_back({j, k, i, x1});
         while (!stack.empty()) {
-          const auto [ci, cj, ck] = stack.back();
+          const Run run = stack.back();
           stack.pop_back();
-          for (const auto& d : offs) {
-            const int ni = ci + d[0], nj = cj + d[1], nk = ck + d[2];
-            if (!grid.InBounds(ni, nj, nk)) continue;
-            const size_t idx = grid.Index(ni, nj, nk);
-            if (!grid.Get(ni, nj, nk) || (*labels)[idx] != 0) continue;
-            (*labels)[idx] = next_label;
-            stack.push_back({ni, nj, nk});
+          int* run_row = label + grid.Index(0, run.j, run.k);
+          for (size_t r = 0; r < num_rows; ++r) {
+            const NeighborRow& n = rows[r];
+            const int nj = run.j + n.dj, nk = run.k + n.dk;
+            if (nj < 0 || nj >= ny || nk < 0 || nk >= nz) continue;
+            int* nrow = run_row + n.stride;
+            const int hi = std::min(run.x1 + n.reach, nx - 1);
+            for (int x = std::max(run.x0 - n.reach, 0); x <= hi; ++x) {
+              if (nrow[x] != kUnlabeled) continue;
+              int a = x, b = x;
+              while (a > 0 && nrow[a - 1] == kUnlabeled) --a;
+              while (b + 1 < nx && nrow[b + 1] == kUnlabeled) ++b;
+              std::fill(nrow + a, nrow + b + 1, next_label);
+              stack.push_back({nj, nk, a, b});
+              x = b;
+            }
           }
         }
       }

@@ -14,8 +14,14 @@ class ThreadPool;
 struct VoxelizationOptions {
   /// Number of voxels along the longest bounding-box axis (the paper's N).
   int resolution = 32;
-  /// Extra empty cells added on every side so the solid never touches the
-  /// grid boundary (required by the thinning algorithm's border handling).
+  /// Extra cells added on every side of the mesh's bounding box. They do
+  /// not keep the solid off the grid boundary: the triangle/box test is
+  /// closed (box half-widths carry a small epsilon), and the bounding box's
+  /// three min faces, like the max face of its longest axis, lie exactly on
+  /// cell faces, so a mesh vertex there also marks the margin cell beyond.
+  /// The standard dataset puts about 4 solid voxels per shape on the grid
+  /// shell, at every resolution. Consumers must read out-of-bounds cells as
+  /// empty, as thinning and component labelling do, not assume padding.
   int boundary_margin = 1;
   /// If true, interior voxels are filled (solid voxelization) via an
   /// exterior flood fill; otherwise only surface voxels are set.

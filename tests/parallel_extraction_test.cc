@@ -68,6 +68,25 @@ TEST(ParallelExtractionTest, VoxelizeFillThinBitIdenticalAcrossThreadCounts) {
       }
     }
   }
+
+  // Thinning fans out only when its border list clears the amortization
+  // floor of RecommendedWorkers, which none of the grids above does. A
+  // 450x450x2 plate lists all of its 405k voxels, enough for the split
+  // collection on any host with two idle cores; two iterations run it
+  // through a dozen subiterations.
+  VoxelGrid plate(452, 452, 4, {0, 0, 0}, 1.0);
+  for (int k = 1; k <= 2; ++k)
+    for (int j = 1; j <= 450; ++j)
+      for (int i = 1; i <= 450; ++i) plate.Set(i, j, k, true);
+  ThinningOptions plate_opt;
+  plate_opt.max_iterations = 2;
+  const VoxelGrid serial_plate = ThinToSkeleton(plate, plate_opt);
+  for (const int threads : kThreadCounts) {
+    SCOPED_TRACE("plate threads=" + std::to_string(threads));
+    ThreadPool pool(threads);
+    plate_opt.pool = &pool;
+    EXPECT_EQ(ThinToSkeleton(plate, plate_opt).raw(), serial_plate.raw());
+  }
 }
 
 TEST(ParallelExtractionTest, VoxelizeSolidBitIdenticalAcrossThreadCounts) {

@@ -44,7 +44,8 @@ TEST_P(PipelinePropertyTest, StagesUpholdInvariants) {
   EXPECT_GE(mu(1, 1), mu(2, 2) - 1e-6);
 
   // Voxel model: non-empty, one 26-connected component (guaranteed by
-  // KeepLargestComponent), margin respected.
+  // KeepLargestComponent). It may touch the grid shell: the voxelizer's
+  // boundary margin does not keep it off.
   EXPECT_GT(art->voxels.CountSet(), 0u);
   EXPECT_EQ(CountObjectComponents(art->voxels), 1);
 

@@ -214,6 +214,41 @@ TEST(MorphologyTest, KeepLargestComponent) {
   const VoxelGrid kept = KeepLargestComponent(g);
   EXPECT_EQ(kept.CountSet(), 4u);
   EXPECT_FALSE(kept.Get(9, 9, 9));
+
+  // Two equal-size components: the first in (k, j, i) scan order wins,
+  // although the other one starts at a smaller i.
+  VoxelGrid tie(6, 6, 6, {0, 0, 0}, 1.0);
+  for (int i = 3; i < 6; ++i) tie.Set(i, 0, 0, true);
+  for (int i = 0; i < 3; ++i) tie.Set(i, 4, 0, true);
+  const VoxelGrid tie_kept = KeepLargestComponent(tie);
+  EXPECT_EQ(tie_kept.CountSet(), 3u);
+  EXPECT_TRUE(tie_kept.Get(3, 0, 0));
+  EXPECT_FALSE(tie_kept.Get(0, 4, 0));
+
+  // A component lying along the grid shell (every voxel on the boundary,
+  // one on a corner) beats an interior one.
+  VoxelGrid shell(5, 5, 5, {0, 0, 0}, 1.0);
+  for (int j = 0; j < 5; ++j) shell.Set(4, j, 4, true);
+  shell.Set(2, 2, 2, true);
+  const VoxelGrid shell_kept = KeepLargestComponent(shell);
+  EXPECT_EQ(shell_kept.CountSet(), 5u);
+  EXPECT_TRUE(shell_kept.Get(4, 4, 4));
+  EXPECT_FALSE(shell_kept.Get(2, 2, 2));
+
+  // Two 3-voxel bars linked only through a vertex-diagonal step form one
+  // 26-connected component of 6, which beats a separate 5-voxel bar.
+  VoxelGrid diag(8, 8, 8, {0, 0, 0}, 1.0);
+  for (int i = 1; i <= 3; ++i) diag.Set(i, 1, 1, true);
+  for (int i = 4; i <= 6; ++i) diag.Set(i, 2, 2, true);  // (3,1,1)~(4,2,2)
+  for (int i = 1; i <= 5; ++i) diag.Set(i, 6, 6, true);
+  const VoxelGrid diag_kept = KeepLargestComponent(diag);
+  EXPECT_EQ(diag_kept.CountSet(), 6u);
+  EXPECT_TRUE(diag_kept.Get(6, 2, 2));
+  EXPECT_FALSE(diag_kept.Get(1, 6, 6));
+
+  // An empty grid stays empty.
+  const VoxelGrid empty(4, 4, 4, {0, 0, 0}, 1.0);
+  EXPECT_EQ(KeepLargestComponent(empty).raw(), empty.raw());
 }
 
 TEST(MorphologyTest, Connectivity18Neighbors) {
