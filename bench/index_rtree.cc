@@ -10,11 +10,8 @@
 
 #include <cstdio>
 
-#include <filesystem>
-
 #include "bench/bench_common.h"
 #include "src/common/rng.h"
-#include "src/index/disk_rtree.h"
 #include "src/index/linear_scan.h"
 #include "src/index/rtree.h"
 #include "src/index/single_attribute.h"
@@ -124,50 +121,6 @@ BENCHMARK(BM_SingleAttributeKnnSynthetic)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000);
-
-// Disk-resident R-tree (paged + buffer pool): the COTS-database-extension
-// prototype. `range(1)` selects the buffer-pool size in pages, showing the
-// warm-cache vs tight-memory regimes.
-void BM_DiskRTreeKnnSynthetic(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int pool_pages = static_cast<int>(state.range(1));
-  const int dim = 8;
-  const auto pts = SyntheticClusteredPoints(n, dim, 7);
-  std::vector<std::pair<int, std::vector<double>>> bulk;
-  for (int i = 0; i < n; ++i) bulk.emplace_back(i, pts[i]);
-  const std::string path = "bench_disk_rtree.idx";
-  if (!DiskRTree::Build(path, dim, bulk).ok()) {
-    state.SkipWithError("build failed");
-    return;
-  }
-  auto tree = DiskRTree::Open(path, pool_pages);
-  if (!tree.ok()) {
-    state.SkipWithError("open failed");
-    return;
-  }
-  Rng rng(13);
-  size_t queries = 0;
-  for (auto _ : state) {
-    const auto& q = pts[rng.NextBounded(n)];
-    auto r = (*tree)->KNearest(q, 10);
-    if (!r.ok()) {
-      state.SkipWithError("query failed");
-      return;
-    }
-    benchmark::DoNotOptimize(r);
-    ++queries;
-  }
-  state.counters["cache_miss_per_query"] =
-      static_cast<double>((*tree)->CacheMisses()) / queries;
-  state.counters["cache_hit_rate"] =
-      static_cast<double>((*tree)->CacheHits()) /
-      std::max<uint64_t>(1, (*tree)->CacheHits() + (*tree)->CacheMisses());
-  std::filesystem::remove(path);
-}
-BENCHMARK(BM_DiskRTreeKnnSynthetic)
-    ->Args({10000, 8})     // tight memory: most fetches hit disk
-    ->Args({10000, 1024})  // warm cache: index fully resident
-    ->Args({100000, 1024});
 
 void BM_RTreeInsertSynthetic(benchmark::State& state) {
   const int dim = 8;

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "bench/bench_common.h"
+#include "src/common/logging.h"
 #include "src/common/metrics.h"
 #include "src/common/thread_pool.h"
 #include "src/common/trace.h"
@@ -437,7 +438,7 @@ std::unique_ptr<Dess3System> BuildCommittedSystem(const CommitFixture& fx) {
   auto system = std::make_unique<Dess3System>(opt);
   for (size_t i = 0; i < fx.corpus; ++i) {
     auto record = fx.pool.Get(static_cast<int>(i));
-    if (record.ok()) system->IngestRecord(**record);
+    if (record.ok()) DESS_CHECK_OK(system->Ingest(**record, {}));
   }
   (void)system->Commit();
   return system;
@@ -447,7 +448,7 @@ void IngestDelta(Dess3System* system, const CommitFixture& fx,
                  size_t* next) {
   for (size_t i = 0; i < fx.delta; ++i) {
     auto record = fx.pool.Get(static_cast<int>((*next)++ % fx.corpus));
-    if (record.ok()) system->IngestRecord(**record);
+    if (record.ok()) DESS_CHECK_OK(system->Ingest(**record, {}));
   }
 }
 

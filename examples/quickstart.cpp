@@ -89,7 +89,8 @@ int main(int argc, char** argv) {
 
   // 4. Persist the published snapshot and reopen it cold: the reopened
   //    system answers at the same epoch with identical results, without
-  //    re-running the geometry pipeline or rebuilding any index.
+  //    re-running the geometry pipeline or recalibrating; it builds its
+  //    indexes from the loaded records, as Commit() does.
   const std::string snap_dir = "quickstart_snapshot";
   SaveOptions save_opt;
   save_opt.overwrite = true;

@@ -17,13 +17,11 @@
 #include <vector>
 
 #include "src/common/crc32c.h"
-#include "src/common/logging.h"
 #include "src/common/metrics.h"
 #include "src/common/strings.h"
 #include "src/core/snapshot.h"
 #include "src/core/system.h"
 #include "src/db/serialization.h"
-#include "src/index/disk_rtree.h"
 #include "src/search/search_engine.h"
 
 namespace dess {
@@ -35,8 +33,8 @@ constexpr uint32_t kManifestMagic = 0x504E5344;  // "DSNP"
 constexpr uint32_t kFlagIncludeMeshes = 1u << 0;
 constexpr uint32_t kFlagStandardize = 1u << 1;
 
-/// Parse-time sanity bounds: a valid manifest has 3 + up-to-3 sections per
-/// feature space (hierarchy, packed index, optional graph) and a valid
+/// Parse-time sanity bounds: a valid manifest has up to 3 sections plus up
+/// to 2 per feature space (hierarchy, optional graph) and a valid
 /// hierarchy is bounded by HierarchyOptions::max_depth / branch_factor;
 /// anything past these limits is a corrupt length prefix, not real data.
 constexpr uint32_t kMaxManifestSections = 128;
@@ -44,62 +42,17 @@ constexpr uint32_t kMaxManifestSpaces = 30;
 constexpr int kMaxHierarchyDepth = 64;
 constexpr uint32_t kMaxHierarchyChildren = 4096;
 
-/// Serves a snapshot's packed R-tree file (a DiskRTree) through the
-/// MultiDimIndex interface. The tree is read-only: Insert/Remove report
-/// NotImplemented (updates go through an engine rebuild, the standard
-/// pattern for packed indexes). Disk errors during a query are logged and
-/// yield an empty result — they indicate an unreadable index file, not a
-/// missing shape.
-///
-/// The underlying buffer pool mutates frame state on every page fetch, so
-/// concurrent snapshot queries must not enter it simultaneously: a mutex
-/// serializes queries against this one index (in-memory backends stay
-/// lock-free).
-class PackedIndex final : public MultiDimIndex {
- public:
-  explicit PackedIndex(std::unique_ptr<DiskRTree> tree)
-      : tree_(std::move(tree)) {}
+/// Siblings of a snapshot directory `<dir>` that SaveTo uses to publish:
+/// the new snapshot is staged in `<dir>.tmp`, and the one it replaces is
+/// moved to `<dir>.old` until the new one is in place.
+constexpr char kStagingSuffix[] = ".tmp";
+constexpr char kRetiredSuffix[] = ".old";
 
-  int dim() const override { return tree_->dim(); }
-  size_t size() const override { return tree_->size(); }
-
-  Status Insert(int, const std::vector<double>&) override {
-    return Status::NotImplemented(
-        "disk r-tree is static; rebuild the engine to add shapes");
-  }
-  Status Remove(int, const std::vector<double>&) override {
-    return Status::NotImplemented(
-        "disk r-tree is static; rebuild the engine to remove shapes");
-  }
-
-  std::vector<Neighbor> KNearest(const std::vector<double>& query, size_t k,
-                                 const std::vector<double>& weights,
-                                 QueryStats* stats) const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return Unwrap(tree_->KNearest(query, k, weights, stats));
-  }
-
-  std::vector<Neighbor> RangeQuery(const std::vector<double>& query,
-                                   double radius,
-                                   const std::vector<double>& weights,
-                                   QueryStats* stats) const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return Unwrap(tree_->RangeQuery(query, radius, weights, stats));
-  }
-
- private:
-  static std::vector<Neighbor> Unwrap(Result<std::vector<Neighbor>> result) {
-    if (!result.ok()) {
-      DESS_LOG(Error) << "disk index query failed: "
-                      << result.status().ToString();
-      return {};
-    }
-    return std::move(result).value();
-  }
-
-  mutable std::mutex mu_;  // buffer pool is not thread-safe
-  std::unique_ptr<DiskRTree> tree_;
-};
+fs::path Sibling(const fs::path& dir, const char* suffix) {
+  fs::path sibling = dir;
+  sibling += suffix;
+  return sibling;
+}
 
 /// One MANIFEST entry: a section file with its expected size and CRC-32C.
 struct ManifestSection {
@@ -489,8 +442,8 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
   // Stage the whole directory next to the target, then rename into place:
   // a crash mid-save leaves the (ignorable) staging directory behind, never
   // a half-written snapshot at the target path.
-  fs::path staging = target;
-  staging += ".tmp";
+  const fs::path staging = Sibling(target, kStagingSuffix);
+  const fs::path retired = Sibling(target, kRetiredSuffix);
   fs::remove_all(staging, ec);
   ec.clear();
   fs::create_directories(staging, ec);
@@ -538,27 +491,10 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
     DESS_RETURN_NOT_OK(add_section(file));
   }
 
-  // Pack one static R-tree per feature space over the standardized
-  // coordinates — the same coordinates every engine backend indexes, so a
-  // lazily reopened index answers exactly like the one that served here.
-  for (int ordinal = 0; ordinal < registry.size(); ++ordinal) {
-    const SimilaritySpace& space = engine_->SpaceAt(ordinal);
-    std::vector<std::pair<int, std::vector<double>>> bulk;
-    bulk.reserve(db_->NumShapes());
-    for (const ShapeRecord& rec : db_->records()) {
-      bulk.emplace_back(rec.id,
-                        space.Standardize(rec.signature.At(ordinal).values));
-    }
-    const std::string file = SnapshotIndexFile(registry.id(ordinal));
-    DESS_RETURN_NOT_OK(DiskRTree::Build((staging / file).string(),
-                                        registry.dim(ordinal), bulk));
-    DESS_RETURN_NOT_OK(add_section(file));
-  }
-
   // Optional graph sections: the bytes the engine hands back for spaces
   // served by an approximate backend (SearchEngine::SerializedIndexAt), so
   // a reopen can skip the rebuild. The reader falls back to a rebuild from
-  // the packed rows whenever the section is absent.
+  // the records whenever the section is absent.
   for (int ordinal = 0; ordinal < registry.size(); ++ordinal) {
     const std::optional<std::string> bytes =
         engine_->SerializedIndexAt(ordinal);
@@ -584,8 +520,13 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
   DESS_RETURN_NOT_OK(
       WriteManifest((staging / kSnapshotManifestFile).string(), manifest));
 
+  // The live snapshot is moved aside, never removed, until the staged one
+  // is in place. A crash between the two renames leaves no snapshot at the
+  // target but a complete staging directory, which OpenFromSnapshot
+  // renames into place.
   if (target_exists) {
-    fs::remove_all(target, ec);
+    fs::remove_all(retired, ec);  // left by a crash after an earlier publish
+    fs::rename(target, retired, ec);
     if (ec) {
       return Status::IOError("cannot replace snapshot at '" + dir +
                              "': " + ec.message());
@@ -596,6 +537,7 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
     return Status::IOError("cannot publish snapshot to '" + dir +
                            "': " + ec.message());
   }
+  fs::remove_all(retired, ec);
   MetricsRegistry::Global()->AddCounter("persist.snapshots_saved");
   return Status::OK();
 }
@@ -606,6 +548,19 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
   DESS_TIMED_SCOPE("snapshot.open");
   const fs::path root(dir);
   std::error_code ec;
+  // Finish a publish that a crash interrupted (see SaveTo). The staged
+  // snapshot is complete once its MANIFEST exists. It is renamed into
+  // place, not read where it lies, because the next SaveTo starts by
+  // clearing the staging directory.
+  const fs::path staging = Sibling(root, kStagingSuffix);
+  if (!fs::exists(root / kSnapshotManifestFile, ec) &&
+      fs::exists(staging / kSnapshotManifestFile, ec)) {
+    fs::rename(staging, root, ec);
+    if (ec) {
+      return Status::IOError("cannot finish the interrupted publish of '" +
+                             dir + "': " + ec.message());
+    }
+  }
   if (!fs::exists(root, ec)) {
     return Status::NotFound("no snapshot directory at '" + dir + "'");
   }
@@ -647,7 +602,6 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
   }
   for (int ordinal = 0; ordinal < registry->size(); ++ordinal) {
     required.push_back(SnapshotHierarchyFile(registry->id(ordinal)));
-    required.push_back(SnapshotIndexFile(registry->id(ordinal)));
   }
   for (const std::string& file : required) {
     if (FindSection(manifest, file) == nullptr) {
@@ -657,7 +611,7 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
   }
   // Graph sections are the one exception to fail-the-whole-open: they are
   // pure accelerators, so a missing, truncated or bit-flipped graph file
-  // downgrades to a deterministic rebuild from the packed rows instead of
+  // downgrades to a deterministic rebuild from the records instead of
   // refusing a snapshot whose authoritative sections are intact.
   std::set<std::string> unusable_graphs;
   for (const ManifestSection& section : manifest.sections) {
@@ -749,21 +703,12 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
   engine_options.standardize = (manifest.flags & kFlagStandardize) != 0;
   system->options_.search.standardize = engine_options.standardize;
 
-  // Every space's packed R-tree opens lazily (index nodes page in through
-  // a buffer pool on first touch), and a usable graph section rides along
-  // with the id of the backend that wrote it; the engine decides per space
-  // which of the two serves.
-  std::vector<PersistedIndex> indexes(registry->size());
+  // Every space's index is built through its configured backend, as
+  // Commit() builds it. A usable graph section rides along with the id of
+  // the backend that wrote it, so an approximate backend can restore its
+  // structure instead of rebuilding it.
+  std::vector<PersistedIndex> persisted(registry->size());
   for (int ki = 0; ki < registry->size(); ++ki) {
-    const std::string path =
-        (root / SnapshotIndexFile(registry->id(ki))).string();
-    Result<std::unique_ptr<DiskRTree>> tree = DiskRTree::Open(path);
-    if (!tree.ok()) {
-      return Status::DataLoss("cannot open snapshot index '" + path +
-                              "': " + tree.status().message());
-    }
-    indexes[ki].packed =
-        std::make_unique<PackedIndex>(std::move(tree).value());
     const std::string gfile = SnapshotGraphFile(registry->id(ki));
     if (FindSection(manifest, gfile) == nullptr ||
         unusable_graphs.count(gfile) > 0) {
@@ -773,15 +718,15 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
     std::string bytes((std::istreambuf_iterator<char>(gin)),
                       std::istreambuf_iterator<char>());
     if (gin.good() || gin.eof()) {
-      indexes[ki].graph_backend = manifest.spaces[ki].backend;
-      indexes[ki].graph = std::move(bytes);
+      persisted[ki].graph_backend = manifest.spaces[ki].backend;
+      persisted[ki].graph = std::move(bytes);
     }
   }
 
   DESS_ASSIGN_OR_RETURN(
       std::unique_ptr<SearchEngine> engine,
-      SearchEngine::Assemble(view, engine_options, std::move(spaces),
-                             std::move(indexes)));
+      SearchEngine::Rebuild(view, engine_options, std::move(spaces),
+                            &persisted));
   DESS_ASSIGN_OR_RETURN(
       std::shared_ptr<const SystemSnapshot> snapshot,
       SystemSnapshot::Assemble(view, manifest.epoch, std::move(engine),

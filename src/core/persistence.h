@@ -8,11 +8,11 @@ namespace dess {
 
 /// On-disk snapshot format understood by this build. The snapshot is a
 /// directory of sections — frozen record store, the feature-vector sets,
-/// calibrated similarity spaces, packed R-tree page files, browsing
-/// hierarchies, optional graph sections — described by a MANIFEST that
-/// carries the format version, the answering epoch, a feature-space table
-/// (id, dimension and serving backend id per registered space, in registry
-/// order) and a CRC-32C per section. The manifest itself is
+/// calibrated similarity spaces, browsing hierarchies, optional graph
+/// sections — described by a MANIFEST that carries the format version,
+/// the answering epoch, a feature-space table (id, dimension and serving
+/// backend id per registered space, in registry order) and a CRC-32C per
+/// section. The manifest itself is
 /// self-checksummed and the whole directory is staged and renamed into
 /// place, so a snapshot either opens completely or not at all.
 ///
@@ -25,19 +25,19 @@ namespace dess {
 ///    loss).
 ///  - NotFound: the directory holds no snapshot at all (no MANIFEST).
 ///
-/// Index sections: every space has a packed R-tree file, which a reopened
-/// engine serves lazily whenever the space's backend is exact. A space
-/// served by an approximate backend may add a graph_<id>.ann section with
-/// the backend's serialized structure (e.g. the HNSW graph topology).
-/// Graph sections are pure accelerators: a reader whose configuration
-/// resolves a different backend for the space — or that finds the bytes
-/// missing or unusable — rebuilds the index from the packed rows instead
-/// of failing.
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+/// Indexes: a reopened engine builds every space's index through its
+/// configured backend from the loaded records, exactly as Commit() does,
+/// so no exact index is persisted. A space served by an approximate
+/// backend may add a graph_<id>.ann section with the backend's serialized
+/// structure (e.g. the HNSW graph topology). Graph sections are pure
+/// accelerators: a reader whose configuration resolves a different
+/// backend for the space — or that finds the bytes missing or unusable —
+/// rebuilds the index from the records instead of failing.
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
 
 /// File names inside a snapshot directory. Per-feature-space sections are
 /// named <prefix><space id><suffix>; use SnapshotHierarchyFile /
-/// SnapshotIndexFile below instead of concatenating by hand, so the layout
+/// SnapshotGraphFile below instead of concatenating by hand, so the layout
 /// has one source of truth.
 inline constexpr char kSnapshotManifestFile[] = "MANIFEST";
 inline constexpr char kSnapshotRecordsFile[] = "records.bin";
@@ -45,8 +45,6 @@ inline constexpr char kSnapshotMeshesFile[] = "meshes.bin";
 inline constexpr char kSnapshotSpacesFile[] = "spaces.bin";
 inline constexpr char kSnapshotHierarchyPrefix[] = "hierarchy_";
 inline constexpr char kSnapshotHierarchySuffix[] = ".bin";
-inline constexpr char kSnapshotIndexPrefix[] = "index_";
-inline constexpr char kSnapshotIndexSuffix[] = ".drt";
 inline constexpr char kSnapshotGraphPrefix[] = "graph_";
 inline constexpr char kSnapshotGraphSuffix[] = ".ann";
 
@@ -54,11 +52,6 @@ inline constexpr char kSnapshotGraphSuffix[] = ".ann";
 inline std::string SnapshotHierarchyFile(const std::string& space_id) {
   return std::string(kSnapshotHierarchyPrefix) + space_id +
          kSnapshotHierarchySuffix;
-}
-
-/// Packed index section of one feature space ("index_<id>.drt").
-inline std::string SnapshotIndexFile(const std::string& space_id) {
-  return std::string(kSnapshotIndexPrefix) + space_id + kSnapshotIndexSuffix;
 }
 
 /// Serialized approximate-index structure of one feature space
@@ -82,9 +75,7 @@ struct SaveOptions {
   bool overwrite = false;
 };
 
-/// How Dess3System::OpenFromSnapshot reads one back. Index files always
-/// open lazily: O(1) at open, index nodes page in on demand through a
-/// 64-frame buffer pool per file.
+/// How Dess3System::OpenFromSnapshot reads one back.
 struct OpenOptions {
   /// Verify every section's CRC-32C against the manifest before trusting
   /// it (one streaming read per file). Disable only for trusted local

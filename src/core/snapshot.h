@@ -64,7 +64,7 @@ class SystemSnapshot {
 
   /// Assembles a snapshot from preloaded parts — the persistence layer's
   /// cold-start path (Dess3System::OpenFromSnapshot), which restores the
-  /// engine and hierarchies from disk instead of rebuilding them. All
+  /// calibration and hierarchies from disk instead of recomputing them. All
   /// parts must describe the same committed state; basic consistency is
   /// validated, contents are trusted.
   /// `hierarchies[i]` is the browsing hierarchy of the engine's i-th
@@ -77,10 +77,12 @@ class SystemSnapshot {
   /// Persists this snapshot as a versioned on-disk directory (see
   /// persistence.h for the format and failure taxonomy): the frozen record
   /// store (meshes per `options`), all four feature-vector sets, the
-  /// similarity spaces, packed R-tree index files, the browsing
-  /// hierarchies, and a checksummed manifest carrying this snapshot's
-  /// epoch. The directory is staged next to `dir` and renamed into place,
-  /// so a crash never leaves a half-written snapshot at the target path.
+  /// similarity spaces, the browsing hierarchies, any approximate index's
+  /// graph, and a checksummed manifest carrying this snapshot's epoch.
+  /// The directory is staged as `<dir>.tmp` and renamed into place; a
+  /// snapshot it replaces is renamed to `<dir>.old` first and removed
+  /// only after, so a crash never leaves a half-written snapshot at the
+  /// target path, and OpenFromSnapshot finishes an interrupted swap.
   /// Reopening yields a system that answers queries identically to this
   /// snapshot.
   Status SaveTo(const std::string& dir, const SaveOptions& options = {})

@@ -185,29 +185,6 @@ Result<int> Dess3System::Ingest(ShapeRecord record,
   return id;
 }
 
-int Dess3System::IngestRecord(ShapeRecord record) {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  const int id = db_.Insert(std::move(record));
-  if (wal_ != nullptr) {
-    // Legacy int-returning API: a failed append degrades durability, not
-    // the in-memory ingest — log it and keep the id contract.
-    const ShapeRecord* stored = db_.Get(id).ValueOr(nullptr);
-    Result<uint64_t> seq =
-        stored != nullptr
-            ? wal_->AppendRecord(*stored, /*sync=*/false)
-            : Result<uint64_t>(Status::Internal("inserted record vanished"));
-    if (!seq.ok()) {
-      DESS_LOG(Error) << "WAL append failed for shape " << id << ": "
-                      << seq.status().ToString();
-    } else {
-      stat_wal_sequence_.store(wal_->last_sequence(),
-                               std::memory_order_relaxed);
-    }
-  }
-  RecordIngestLocked(1);
-  return id;
-}
-
 std::vector<SimilaritySpace> Dess3System::PublishedSpacesLocked() const {
   const SearchEngine& engine = base_snapshot_->engine();
   std::vector<SimilaritySpace> spaces;
@@ -459,7 +436,7 @@ Result<std::unique_ptr<Dess3System>> Dess3System::LoadFrom(
   DESS_ASSIGN_OR_RETURN(ShapeDatabase db, ShapeDatabase::Load(path));
   auto system = std::make_unique<Dess3System>(options);
   for (const ShapeRecord& rec : db.records()) {
-    system->IngestRecord(rec);
+    DESS_RETURN_NOT_OK(system->Ingest(rec, {}).status());
   }
   DESS_RETURN_NOT_OK(system->Commit().status());
   return system;

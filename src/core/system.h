@@ -146,11 +146,6 @@ class Dess3System {
   /// it per `options.durability` on a durable system.
   Result<int> Ingest(ShapeRecord record, const IngestOptions& options);
 
-  /// Ingests a pre-extracted record. Equivalent to Ingest() with default
-  /// options except that a WAL append failure is logged instead of
-  /// surfaced (the record is still inserted in memory).
-  int IngestRecord(ShapeRecord record);
-
   /// Builds and atomically publishes a new SystemSnapshot over the current
   /// database contents and returns its receipt: the published epoch (the
   /// name callers and the persistence layer use for what they just
@@ -244,8 +239,8 @@ class Dess3System {
       const std::string& path, const SystemOptions& options = {});
 
   /// Persists the currently published snapshot as a versioned on-disk
-  /// directory (record store, feature sets, similarity spaces, packed
-  /// R-tree files, hierarchies, checksummed manifest — see persistence.h).
+  /// directory (record store, feature sets, similarity spaces,
+  /// hierarchies, checksummed manifest — see persistence.h).
   /// FailedPrecondition before the first Commit(); the saved epoch is the
   /// published one, so a caller can pair this with the epoch returned by
   /// Commit() to name exactly what was saved.
@@ -254,9 +249,12 @@ class Dess3System {
 
   /// Opens a snapshot directory written by SaveSnapshot /
   /// SystemSnapshot::SaveTo and publishes it without re-ingesting or
-  /// rebuilding: the reopened system answers queries identically to the
+  /// recalibrating: the reopened system answers queries identically to the
   /// system that saved it, at the saved epoch, and later Ingest*/Commit()
-  /// continue from there. Index pages load lazily through a buffer pool.
+  /// continue from there. Every space's index is built through its
+  /// configured backend from the loaded records, as Commit() builds it.
+  /// Finishes a publish that a crash interrupted (a complete `<dir>.tmp`
+  /// and no `<dir>/MANIFEST`) by renaming the staged snapshot into place.
   /// Failure taxonomy: DataLoss for checksum mismatches or
   /// truncated/missing sections, FailedPrecondition for format-version
   /// skew, NotFound when `dir` holds no snapshot.

@@ -20,7 +20,7 @@ bool ValidSpaceId(const std::string& id) {
 
 const std::string& CanonicalSpaceId(FeatureKind kind) {
   // The ids double as persistence section names, so they are pinned to the
-  // pre-registry file layout (hierarchy_<id>.bin / index_<id>.drt).
+  // pre-registry file layout (hierarchy_<id>.bin).
   static const std::string kIds[kNumFeatureKinds] = {
       "moment_invariants", "geometric_params", "principal_moments",
       "eigenvalues"};

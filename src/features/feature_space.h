@@ -39,7 +39,7 @@ enum class PipelineStage {
 struct FeatureSpaceDef {
   /// Stable identifier: lowercase [a-z0-9_]+, unique within a registry.
   /// Used to address the space in QueryRequest/MultiStepStage and to name
-  /// its persistence sections (hierarchy_<id>.bin, index_<id>.drt), so it
+  /// its persistence sections (hierarchy_<id>.bin, graph_<id>.ann), so it
   /// must stay stable across versions of the registering code.
   std::string id;
   /// Dimensionality of the space's vectors.

@@ -80,7 +80,7 @@ class HnswIndex final : public MultiDimIndex {
   Status Insert(int id, const std::vector<double>& point) override;
 
   /// Graph nodes cannot be unlinked in place; rebuilding the index is the
-  /// update path (same contract as the packed disk index).
+  /// update path.
   Status Remove(int id, const std::vector<double>& point) override;
 
   std::vector<Neighbor> KNearest(const std::vector<double>& query, size_t k,

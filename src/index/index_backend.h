@@ -64,10 +64,10 @@ struct IndexBackendDef {
       const IndexBuildContext&)>
       factory;
   /// Optional: serializes an approximate index's auxiliary structure (e.g.
-  /// the HNSW graph topology) for snapshot persistence. Approximate
-  /// backends without one are rebuilt from the packed rows on open; exact
-  /// backends never need one, since a reopened snapshot serves them from
-  /// its packed R-tree.
+  /// the HNSW graph topology) for snapshot persistence. Backends without
+  /// one are rebuilt from the packed rows on open; exact backends never
+  /// need one, since a reopen builds them through `factory` like any
+  /// commit.
   std::function<Result<std::string>(const MultiDimIndex&)> serialize;
   /// Optional: restores an index from `serialize` output plus the packed
   /// rows. A failure (corrupt or mismatched bytes) makes the engine fall

@@ -35,99 +35,6 @@ std::string ResolveIndexBackendId(const SearchEngineOptions& options,
 
 }  // namespace
 
-Result<std::unique_ptr<SearchEngine>> SearchEngine::Assemble(
-    std::shared_ptr<const ShapeDatabase> db,
-    const SearchEngineOptions& options, std::vector<SimilaritySpace> spaces,
-    std::vector<PersistedIndex> indexes) {
-  if (db == nullptr || db->IsEmpty()) {
-    return Status::InvalidArgument("search engine: empty database");
-  }
-  std::shared_ptr<const FeatureSpaceRegistry> registry =
-      RegistryOrCanonical(options.registry);
-  if (spaces.size() != indexes.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "assemble: %zu spaces / %zu indexes for a %d-space registry",
-        spaces.size(), indexes.size(), registry->size()));
-  }
-  DESS_RETURN_NOT_OK(CheckSpacesMatchRegistry(spaces, *registry));
-  for (int i = 0; i < registry->size(); ++i) {
-    const MultiDimIndex* packed = indexes[i].packed.get();
-    if (packed == nullptr || packed->dim() != registry->dim(i) ||
-        packed->size() != db->NumShapes()) {
-      return Status::InvalidArgument(StrFormat(
-          "assemble: index '%s' missing or inconsistent with the database",
-          registry->id(i).c_str()));
-    }
-  }
-  std::unique_ptr<SearchEngine> engine(new SearchEngine());
-  engine->db_ = std::move(db);
-  engine->options_ = options;
-  engine->registry_ = std::move(registry);
-  engine->spaces_ = std::move(spaces);
-  // The persisted stats make standardization bit-reproducible, so the
-  // repacked blocks match what Build() would have produced.
-  DESS_RETURN_NOT_OK(engine->PackSignatureBlocks());
-  DESS_RETURN_NOT_OK(engine->ResolveBackends());
-  MetricsRegistry* metrics = MetricsRegistry::Global();
-  engine->indexes_.resize(indexes.size());
-  for (int ordinal = 0; ordinal < engine->NumSpaces(); ++ordinal) {
-    PersistedIndex& persisted = indexes[ordinal];
-    const IndexBackendDef& backend = *engine->backends_[ordinal];
-    if (backend.exact) {
-      // Every exact backend returns the exhaustive answer bit-identically,
-      // so the packed R-tree serves for whichever one the options name.
-      engine->indexes_[ordinal] = std::move(persisted.packed);
-      continue;
-    }
-    // An approximate structure is an accelerator, never the data of
-    // record: restore it only from bytes its own backend wrote, and on
-    // absent, foreign or unusable bytes rebuild it deterministically.
-    std::unique_ptr<MultiDimIndex> index;
-    if (backend.deserialize && persisted.graph_backend == backend.id) {
-      Result<std::unique_ptr<MultiDimIndex>> restored =
-          engine->MakeIndex(ordinal, &persisted.graph);
-      if (restored.ok()) {
-        index = std::move(restored).value();
-        metrics->AddCounter("persist.graphs_restored");
-      }
-    }
-    if (index == nullptr) {
-      DESS_ASSIGN_OR_RETURN(index, engine->MakeIndex(ordinal, nullptr));
-      metrics->AddCounter("persist.graphs_rebuilt");
-    }
-    engine->indexes_[ordinal] = std::move(index);
-  }
-  // The pool was borrowed for the build only; a published engine must not
-  // dangle a reference to it.
-  engine->options_.build_pool = nullptr;
-  return engine;
-}
-
-Status SearchEngine::CheckSpacesMatchRegistry(
-    const std::vector<SimilaritySpace>& spaces,
-    const FeatureSpaceRegistry& registry) {
-  if (static_cast<int>(spaces.size()) != registry.size()) {
-    return Status::InvalidArgument(
-        StrFormat("%zu similarity spaces for a %d-space registry",
-                  spaces.size(), registry.size()));
-  }
-  for (int i = 0; i < registry.size(); ++i) {
-    const std::string& id = registry.id(i);
-    const int dim = registry.dim(i);
-    if (spaces[i].id != id) {
-      return Status::InvalidArgument(
-          StrFormat("space %d is '%s', registry expects '%s'", i,
-                    spaces[i].id.c_str(), id.c_str()));
-    }
-    if (static_cast<int>(spaces[i].weights.size()) != dim) {
-      return Status::InvalidArgument(
-          StrFormat("space '%s' has %zu weights, expected %d", id.c_str(),
-                    spaces[i].weights.size(), dim));
-    }
-  }
-  return Status::OK();
-}
-
 Status SearchEngine::PackSignatureBlocks() {
   blocks_.assign(spaces_.size(), nullptr);
   auto row_map = std::make_shared<std::unordered_map<int, size_t>>();
@@ -205,19 +112,6 @@ Result<std::unique_ptr<SearchEngine>> SearchEngine::Build(
   return engine;
 }
 
-Status SearchEngine::ResolveBackends() {
-  const IndexBackendRegistry& backends =
-      BackendsOrBuiltIns(options_.index_backends);
-  backends_.assign(registry_->size(), nullptr);
-  for (int ordinal = 0; ordinal < registry_->size(); ++ordinal) {
-    DESS_ASSIGN_OR_RETURN(
-        backends_[ordinal],
-        backends.Resolve(
-            ResolveIndexBackendId(options_, registry_->space(ordinal))));
-  }
-  return Status::OK();
-}
-
 Result<std::unique_ptr<MultiDimIndex>> SearchEngine::MakeIndex(
     int ordinal, const std::string* graph) const {
   const IndexBackendDef& backend = *backends_[ordinal];
@@ -244,11 +138,38 @@ Result<std::unique_ptr<MultiDimIndex>> SearchEngine::MakeIndex(
   return index;
 }
 
-Status SearchEngine::BuildIndexes() {
-  DESS_RETURN_NOT_OK(ResolveBackends());
+Status SearchEngine::BuildIndexes(
+    const std::vector<PersistedIndex>* persisted) {
+  const IndexBackendRegistry& backends =
+      BackendsOrBuiltIns(options_.index_backends);
+  backends_.assign(registry_->size(), nullptr);
   indexes_.assign(registry_->size(), nullptr);
+  MetricsRegistry* metrics = MetricsRegistry::Global();
   for (int ordinal = 0; ordinal < registry_->size(); ++ordinal) {
+    DESS_ASSIGN_OR_RETURN(
+        backends_[ordinal],
+        backends.Resolve(
+            ResolveIndexBackendId(options_, registry_->space(ordinal))));
+    const IndexBackendDef& backend = *backends_[ordinal];
+    if (persisted == nullptr || backend.exact) {
+      DESS_ASSIGN_OR_RETURN(indexes_[ordinal], MakeIndex(ordinal, nullptr));
+      continue;
+    }
+    // An approximate structure is an accelerator, never the data of
+    // record: restore it only from bytes its own backend wrote, and on
+    // absent, foreign or unusable bytes rebuild it deterministically.
+    const PersistedIndex& saved = (*persisted)[ordinal];
+    if (backend.deserialize && saved.graph_backend == backend.id) {
+      Result<std::unique_ptr<MultiDimIndex>> restored =
+          MakeIndex(ordinal, &saved.graph);
+      if (restored.ok()) {
+        indexes_[ordinal] = std::move(restored).value();
+        metrics->AddCounter("persist.graphs_restored");
+        continue;
+      }
+    }
     DESS_ASSIGN_OR_RETURN(indexes_[ordinal], MakeIndex(ordinal, nullptr));
+    metrics->AddCounter("persist.graphs_rebuilt");
   }
   // The pool was borrowed for the build only; a published engine must not
   // dangle a reference to it.
@@ -269,7 +190,8 @@ std::optional<std::string> SearchEngine::SerializedIndexAt(
 
 Result<std::unique_ptr<SearchEngine>> SearchEngine::Rebuild(
     std::shared_ptr<const ShapeDatabase> db,
-    const SearchEngineOptions& options, std::vector<SimilaritySpace> spaces) {
+    const SearchEngineOptions& options, std::vector<SimilaritySpace> spaces,
+    const std::vector<PersistedIndex>* persisted) {
   if (db == nullptr || db->IsEmpty()) {
     return Status::InvalidArgument("search engine: empty database");
   }
@@ -277,10 +199,37 @@ Result<std::unique_ptr<SearchEngine>> SearchEngine::Rebuild(
   engine->db_ = std::move(db);
   engine->options_ = options;
   engine->registry_ = RegistryOrCanonical(options.registry);
-  DESS_RETURN_NOT_OK(CheckSpacesMatchRegistry(spaces, *engine->registry_));
+  const FeatureSpaceRegistry& registry = *engine->registry_;
+  if (static_cast<int>(spaces.size()) != registry.size()) {
+    return Status::InvalidArgument(
+        StrFormat("%zu similarity spaces for a %d-space registry",
+                  spaces.size(), registry.size()));
+  }
+  if (persisted != nullptr && persisted->size() != spaces.size()) {
+    return Status::InvalidArgument(
+        StrFormat("%zu persisted indexes for a %d-space registry",
+                  persisted->size(), registry.size()));
+  }
+  for (int i = 0; i < registry.size(); ++i) {
+    const std::string& id = registry.id(i);
+    const int dim = registry.dim(i);
+    if (spaces[i].id != id) {
+      return Status::InvalidArgument(
+          StrFormat("space %d is '%s', registry expects '%s'", i,
+                    spaces[i].id.c_str(), id.c_str()));
+    }
+    if (static_cast<int>(spaces[i].weights.size()) != dim) {
+      return Status::InvalidArgument(
+          StrFormat("space '%s' has %zu weights, expected %d", id.c_str(),
+                    spaces[i].weights.size(), dim));
+    }
+  }
   engine->spaces_ = std::move(spaces);
+  // The frozen stats make standardization bit-reproducible, so the packed
+  // blocks — and every index built over them — match the engine the
+  // spaces came from.
   DESS_RETURN_NOT_OK(engine->PackSignatureBlocks());
-  DESS_RETURN_NOT_OK(engine->BuildIndexes());
+  DESS_RETURN_NOT_OK(engine->BuildIndexes(persisted));
   return engine;
 }
 

@@ -86,13 +86,11 @@ struct SearchEngineOptions {
 };
 
 /// One space's index as a snapshot persisted it, handed to
-/// SearchEngine::Assemble. `packed` is the snapshot's packed R-tree over
-/// the space's standardized rows (required). `graph` holds an approximate
-/// backend's serialized structure (SearchEngine::SerializedIndexAt) and
+/// SearchEngine::Rebuild on reopen. `graph` holds an approximate backend's
+/// serialized structure (SearchEngine::SerializedIndexAt) and
 /// `graph_backend` the id of the backend that wrote it; both are empty
 /// when the snapshot carries none for the space.
 struct PersistedIndex {
-  std::unique_ptr<MultiDimIndex> packed;
   std::string graph_backend;
   std::string graph;
 };
@@ -102,11 +100,10 @@ struct PersistedIndex {
 ///
 /// The engine shares ownership of the database view it was built from, so
 /// a built engine is self-contained and immutable: every query method is
-/// const and safe to call from many threads concurrently (a snapshot's
-/// packed R-tree serializes its buffer pool internally). SetWeights is the
-/// one mutator and must not race with queries; snapshot-published engines
-/// never call it — per-query weights go through QueryRequest::weights
-/// instead.
+/// const and safe to call from many threads concurrently. SetWeights is
+/// the one mutator and must not race with queries; snapshot-published
+/// engines never call it — per-query weights go through
+/// QueryRequest::weights instead.
 class SearchEngine {
  public:
   /// Builds similarity spaces and indexes from the database contents. The
@@ -115,34 +112,26 @@ class SearchEngine {
       std::shared_ptr<const ShapeDatabase> db,
       const SearchEngineOptions& options = {});
 
-  /// Assembles an engine from a snapshot's parts — the persistence
-  /// layer's cold-start path, which restores calibrated spaces instead of
-  /// recomputing them. `spaces[i]`/`indexes[i]` must describe the i-th
-  /// space of the registry (options.registry, canonical when null) over
-  /// exactly the shapes of `db`; dimensions and sizes are validated,
-  /// contents are trusted. Each space is served by the backend the
-  /// options resolve: an exact backend serves straight from the packed
-  /// R-tree, which answers exactly as any exact backend would; an
-  /// approximate one restores its structure from `graph` when
-  /// `graph_backend` names it and the bytes deserialize, and otherwise
-  /// rebuilds it from the packed rows (counters persist.graphs_restored /
-  /// persist.graphs_rebuilt).
-  static Result<std::unique_ptr<SearchEngine>> Assemble(
-      std::shared_ptr<const ShapeDatabase> db,
-      const SearchEngineOptions& options,
-      std::vector<SimilaritySpace> spaces,
-      std::vector<PersistedIndex> indexes);
-
   /// Like Build, but reuses previously calibrated similarity spaces
   /// instead of recalibrating over `db` — the frozen-calibration path
-  /// (delta compaction, WAL recovery), which keeps every distance the
-  /// layered engine produced bit-identical after the side records are
-  /// folded into the main indexes. `spaces` must match the registry
-  /// (ids, weight dims), same validation as Assemble.
+  /// (delta compaction, WAL recovery, snapshot reopen), which keeps every
+  /// distance bit-identical to the engine the spaces came from. `spaces`
+  /// must match the registry (options.registry, canonical when null):
+  /// ids and weight dims are validated, contents are trusted. Every
+  /// space's index is built through the backend the options resolve,
+  /// exactly as Build builds it.
+  ///
+  /// `persisted` is the snapshot-reopen input: when non-null it holds one
+  /// entry per registry space, and an approximate backend restores its
+  /// structure from `graph` when `graph_backend` names it and the bytes
+  /// deserialize, and otherwise rebuilds it from the packed rows
+  /// (counters persist.graphs_restored / persist.graphs_rebuilt). Exact
+  /// backends always build.
   static Result<std::unique_ptr<SearchEngine>> Rebuild(
       std::shared_ptr<const ShapeDatabase> db,
       const SearchEngineOptions& options,
-      std::vector<SimilaritySpace> spaces);
+      std::vector<SimilaritySpace> spaces,
+      const std::vector<PersistedIndex>* persisted = nullptr);
 
   /// Builds a layered engine in O(delta): shares `base`'s similarity
   /// spaces, indexes, packed blocks and row map untouched, and indexes
@@ -191,8 +180,8 @@ class SearchEngine {
   bool IsExactAt(int ordinal) const { return backends_[ordinal]->exact; }
   /// The bytes a snapshot persists for one space's main index (its graph
   /// section): the approximate backend's serialized structure. nullopt
-  /// when there is nothing to persist — an exact backend (a reopen serves
-  /// it from the packed R-tree), a backend without a serialize hook, an
+  /// when there is nothing to persist — an exact backend (a reopen builds
+  /// it from the packed rows), a backend without a serialize hook, an
   /// index the hook cannot serialize, or a layered engine, whose main
   /// index misses the side records every other section covers.
   std::optional<std::string> SerializedIndexAt(int ordinal) const;
@@ -309,13 +298,14 @@ class SearchEngine {
   Status CheckRequestWeights(const QueryRequest& request, int ordinal) const;
 
   /// Packs every space's standardized vectors into blocks_ (record order)
-  /// and fills row_of_. Shared by Build, Rebuild and Assemble.
+  /// and fills row_of_. Shared by Build and Rebuild.
   Status PackSignatureBlocks();
 
   /// Resolves backends_ from the options and registry, then builds every
-  /// space's index through its backend's factory. Shared by Build and
-  /// Rebuild; requires blocks_ to be packed.
-  Status BuildIndexes();
+  /// space's index through its backend's factory — or, for an approximate
+  /// space of a reopened snapshot, restores it from `persisted` (see
+  /// Rebuild). Shared by Build and Rebuild; requires blocks_ to be packed.
+  Status BuildIndexes(const std::vector<PersistedIndex>* persisted = nullptr);
 
   /// Builds one space's index over its packed block through the backend's
   /// factory, or restores it with the backend's deserialize hook when
@@ -324,24 +314,14 @@ class SearchEngine {
   Result<std::unique_ptr<MultiDimIndex>> MakeIndex(
       int ordinal, const std::string* graph) const;
 
-  /// Validates `spaces` against the registry (ids, weight dims) — shared
-  /// by Assemble and Rebuild.
-  static Status CheckSpacesMatchRegistry(
-      const std::vector<SimilaritySpace>& spaces,
-      const FeatureSpaceRegistry& registry);
-
-  /// Fills backends_ from the options and registry — shared by
-  /// BuildIndexes and Assemble.
-  Status ResolveBackends();
-
   std::shared_ptr<const ShapeDatabase> db_;
   SearchEngineOptions options_;
   std::shared_ptr<const FeatureSpaceRegistry> registry_;
   // Per registry ordinal, the backend serving the main index: its id plus
   // the capability flags every query path branches on. Resolved once at
-  // build/assemble time and copied by Layer; the pointees live in
-  // options_.index_backends (kept alive by the engine's own options) or
-  // in the static built-ins.
+  // build time and copied by Layer; the pointees live in
+  // options_.index_backends (kept alive by the engine's own options) or in
+  // the static built-ins.
   std::vector<const IndexBackendDef*> backends_;
   std::vector<SimilaritySpace> spaces_;
   // Indexes, packed blocks and the row map are immutable once built and

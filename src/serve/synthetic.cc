@@ -25,7 +25,7 @@ Result<std::unique_ptr<Dess3System>> MakeSyntheticCorpusSystem(
   }
   auto system = std::make_unique<Dess3System>(options);
   for (ShapeRecord& record : records.value()) {
-    system->IngestRecord(std::move(record));
+    DESS_RETURN_NOT_OK(system->Ingest(std::move(record), {}).status());
   }
   DESS_ASSIGN_OR_RETURN([[maybe_unused]] const CommitReceipt receipt,
                         system->Commit());

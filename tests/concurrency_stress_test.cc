@@ -65,7 +65,9 @@ class EpochLedger {
 
 TEST(ConcurrencyStressTest, WritersNeverTearReaders) {
   Dess3System system(FastSystemOptions());
-  for (uint64_t s = 0; s < 6; ++s) system.IngestRecord(SyntheticRecord(s));
+  for (uint64_t s = 0; s < 6; ++s) {
+    ASSERT_TRUE(system.Ingest(SyntheticRecord(s), {}).ok());
+  }
   ASSERT_TRUE(system.Commit().ok());
   QueryExecutor& executor = system.Executor();  // created before the race
 
@@ -80,7 +82,7 @@ TEST(ConcurrencyStressTest, WritersNeverTearReaders) {
   for (int w = 0; w < kNumWriters; ++w) {
     writers.emplace_back([&, w] {
       for (int c = 0; c < kCommitsPerWriter; ++c) {
-        system.IngestRecord(SyntheticRecord(100 + w * 100 + c));
+        ASSERT_TRUE(system.Ingest(SyntheticRecord(100 + w * 100 + c), {}).ok());
         ASSERT_TRUE(system.Commit().ok());
       }
     });
@@ -154,14 +156,16 @@ TEST(ConcurrencyStressTest, WritersNeverTearReaders) {
 TEST(ConcurrencyStressTest, BatchUnderConcurrentCommitsStaysConsistent) {
   Dess3System system(FastSystemOptions());
   ShapeDatabase seed_db = testing_util::BuildSyntheticFeatureDb(2, 4, 0);
-  for (const ShapeRecord& rec : seed_db.records()) system.IngestRecord(rec);
+  for (const ShapeRecord& rec : seed_db.records()) {
+    ASSERT_TRUE(system.Ingest(rec, {}).ok());
+  }
   ASSERT_TRUE(system.Commit().ok());
   QueryExecutor& executor = system.Executor();
 
   std::atomic<bool> done{false};
   std::thread writer([&] {
     for (int c = 0; c < 8 && !done.load(); ++c) {
-      system.IngestRecord(SyntheticRecord(200 + c));
+      ASSERT_TRUE(system.Ingest(SyntheticRecord(200 + c), {}).ok());
       ASSERT_TRUE(system.Commit().ok());
     }
   });

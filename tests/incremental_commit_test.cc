@@ -131,7 +131,7 @@ class IncrementalCommitTest : public ::testing::Test {
   /// Ingests records [begin, end) of the synthetic corpus.
   void IngestRange(Dess3System* system, size_t begin, size_t end) {
     for (size_t i = begin; i < end && i < all_.NumShapes(); ++i) {
-      system->IngestRecord(RecordAt(i));
+      ASSERT_TRUE(system->Ingest(RecordAt(i), {}).ok());
     }
   }
 

@@ -20,6 +20,13 @@ namespace {
 
 namespace fs = std::filesystem;
 
+uint64_t GlobalCounter(const std::string& name) {
+  for (const auto& counter : MetricsRegistry::Global()->Snapshot().counters) {
+    if (counter.name == name) return counter.value;
+  }
+  return 0;
+}
+
 class PersistenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -28,7 +35,7 @@ class PersistenceTest : public ::testing::Test {
     fs::create_directories(dir_);
     ShapeDatabase db = testing_util::BuildSyntheticFeatureDb(4, 4, 3);
     for (const ShapeRecord& rec : db.records()) {
-      system_.IngestRecord(rec);
+      ASSERT_TRUE(system_.Ingest(rec, {}).ok());
     }
     auto receipt = system_.Commit();
     ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
@@ -49,6 +56,12 @@ class PersistenceTest : public ::testing::Test {
           << a.results[i].distance << ") vs (" << b.results[i].id << ", "
           << b.results[i].distance << ")";
     }
+    // A reopened engine serves through the backends that served before the
+    // save, so it does the same index work, not just the same ranking.
+    EXPECT_EQ(a.stats.nodes_visited, b.stats.nodes_visited);
+    EXPECT_EQ(a.stats.leaves_scanned, b.stats.leaves_scanned);
+    EXPECT_EQ(a.stats.points_compared, b.stats.points_compared);
+    EXPECT_EQ(a.stats.kernel_batches, b.stats.kernel_batches);
   }
 
   fs::path dir_;
@@ -66,7 +79,7 @@ TEST_F(PersistenceTest, CommitReturnsTheEpochItPublished) {
     fv.kind = kind;
     fv.values.assign(FeatureDim(kind), 0.25);
   }
-  system_.IngestRecord(extra);
+  ASSERT_TRUE(system_.Ingest(extra, {}).ok());
   auto next = system_.Commit();
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next->epoch, epoch_ + 1);
@@ -80,20 +93,46 @@ TEST_F(PersistenceTest, SaveBeforeCommitIsFailedPrecondition) {
 }
 
 TEST_F(PersistenceTest, ReopenedSystemAnswersTopKBitIdentically) {
-  ASSERT_TRUE(system_.SaveSnapshot(SnapDir("snap")).ok());
-  auto reopened = Dess3System::OpenFromSnapshot(SnapDir("snap"));
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ((*reopened)->PublishedEpoch(), epoch_);
-  EXPECT_EQ((*reopened)->db().NumShapes(), system_.db().NumShapes());
-  for (FeatureKind kind : AllFeatureKinds()) {
-    for (int query_id : {0, 5, 11}) {
-      const QueryRequest request = QueryRequest::TopK(kind, 6);
-      auto original = system_.QueryByShapeId(query_id, request);
-      auto restored = (*reopened)->QueryByShapeId(query_id, request);
-      ASSERT_TRUE(original.ok() && restored.ok())
-          << FeatureKindName(kind) << " id " << query_id;
-      EXPECT_EQ(restored->epoch, epoch_);
-      ExpectSameAnswers(*original, *restored);
+  // The fixture's system serves every space by R-tree; a second one is
+  // configured to serve every space by linear scan, and its reopened copy
+  // must scan too.
+  SystemOptions scan_options;
+  scan_options.search.index_backend = kLinearScanBackendId;
+  Dess3System scanning(scan_options);
+  for (const ShapeRecord& rec : system_.db().records()) {
+    ASSERT_TRUE(scanning.Ingest(rec, {}).ok());
+  }
+  ASSERT_TRUE(scanning.Commit().ok());
+
+  struct Input {
+    Dess3System* system;
+    SystemOptions options;
+    std::string dir;
+  };
+  for (const Input& input :
+       {Input{&system_, {}, "snap"}, Input{&scanning, scan_options, "scan"}}) {
+    ASSERT_TRUE(input.system->SaveSnapshot(SnapDir(input.dir)).ok());
+    auto reopened =
+        Dess3System::OpenFromSnapshot(SnapDir(input.dir), {}, input.options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ((*reopened)->PublishedEpoch(), epoch_);
+    EXPECT_EQ((*reopened)->db().NumShapes(), system_.db().NumShapes());
+    for (FeatureKind kind : AllFeatureKinds()) {
+      for (int query_id : {0, 5, 11}) {
+        const QueryRequest request = QueryRequest::TopK(kind, 6);
+        auto original = input.system->QueryByShapeId(query_id, request);
+        const uint64_t scans = GlobalCounter("index.linear_scan.queries");
+        auto restored = (*reopened)->QueryByShapeId(query_id, request);
+        ASSERT_TRUE(original.ok() && restored.ok())
+            << input.dir << " " << FeatureKindName(kind) << " id "
+            << query_id;
+        EXPECT_EQ(restored->epoch, epoch_);
+        ExpectSameAnswers(*original, *restored);
+        if (input.system == &scanning) {
+          EXPECT_GT(GlobalCounter("index.linear_scan.queries"), scans)
+              << FeatureKindName(kind) << " id " << query_id;
+        }
+      }
     }
   }
 }
@@ -161,8 +200,9 @@ TEST_F(PersistenceTest, IngestAndCommitContinueFromTheSavedEpoch) {
     fv.kind = kind;
     fv.values.assign(FeatureDim(kind), -0.5);
   }
-  const int id = (*reopened)->IngestRecord(extra);
-  EXPECT_EQ(id, static_cast<int>(system_.db().NumShapes()));
+  auto id = (*reopened)->Ingest(extra, {});
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(*id, static_cast<int>(system_.db().NumShapes()));
   auto next = (*reopened)->Commit();
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   EXPECT_EQ(next->epoch, epoch_ + 1);
@@ -224,7 +264,7 @@ std::unique_ptr<Dess3System> MakeExtendedSystem() {
   ShapeDatabase db = testing_util::BuildSyntheticFeatureDb(
       4, 4, 3, /*seed=*/123, 0.05, 1.0, {{kSynthId, kSynthDim}});
   for (const ShapeRecord& rec : db.records()) {
-    system->IngestRecord(rec);
+    EXPECT_TRUE(system->Ingest(rec, {}).ok());
   }
   return system;
 }
@@ -318,7 +358,7 @@ std::unique_ptr<Dess3System> MakeHnswSystem() {
   ShapeDatabase db = testing_util::BuildSyntheticFeatureDb(
       4, 4, 3, /*seed=*/123, 0.05, 1.0, {{kSynthId, kSynthDim}});
   for (const ShapeRecord& rec : db.records()) {
-    system->IngestRecord(rec);
+    EXPECT_TRUE(system->Ingest(rec, {}).ok());
   }
   return system;
 }
@@ -331,13 +371,6 @@ Result<std::unique_ptr<Dess3System>> OpenHnswSnapshot(
   return Dess3System::OpenFromSnapshot(dir, {}, options);
 }
 
-uint64_t GlobalCounter(const std::string& name) {
-  for (const auto& counter : MetricsRegistry::Global()->Snapshot().counters) {
-    if (counter.name == name) return counter.value;
-  }
-  return 0;
-}
-
 }  // namespace
 
 TEST_F(PersistenceTest, HnswGraphSectionRoundTripsBitIdentically) {
@@ -346,7 +379,7 @@ TEST_F(PersistenceTest, HnswGraphSectionRoundTripsBitIdentically) {
   ASSERT_TRUE(hnsw->SaveSnapshot(SnapDir("v3")).ok());
 
   // The snapshot carries the graph topology of the hnsw-pinned space (and
-  // only that space — exact backends serve from the packed R-tree).
+  // only that space — a reopen builds exact indexes from the records).
   EXPECT_TRUE(fs::exists(fs::path(SnapDir("v3")) /
                          SnapshotGraphFile(kSynthId)));
   EXPECT_FALSE(fs::exists(fs::path(SnapDir("v3")) /

@@ -56,7 +56,7 @@ class QueryApiTest : public ::testing::Test {
     system_ = std::make_unique<Dess3System>(FastSystemOptions());
     db_ = testing_util::BuildSyntheticFeatureDb(3, 3, 1);
     for (const ShapeRecord& rec : db_.records()) {
-      system_->IngestRecord(rec);
+      ASSERT_TRUE(system_->Ingest(rec, {}).ok());
     }
   }
 

@@ -28,7 +28,7 @@ class QueryExecutorTest : public ::testing::Test {
     system_ = std::make_unique<Dess3System>(FastSystemOptions());
     db_ = testing_util::BuildSyntheticFeatureDb(3, 4, 2);
     for (const ShapeRecord& rec : db_.records()) {
-      system_->IngestRecord(rec);
+      ASSERT_TRUE(system_->Ingest(rec, {}).ok());
     }
     ASSERT_TRUE(system_->Commit().ok());
   }
@@ -153,7 +153,7 @@ TEST_F(QueryExecutorTest, QueuedQueriesSeeNewestEpoch) {
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before->epoch, 1u);
   ShapeDatabase extra = testing_util::BuildSyntheticFeatureDb(1, 1, 0, 77);
-  system_->IngestRecord(**extra.Get(0));
+  ASSERT_TRUE(system_->Ingest(**extra.Get(0), {}).ok());
   ASSERT_TRUE(system_->Commit().ok());
   auto after = executor
                    .SubmitQueryById(

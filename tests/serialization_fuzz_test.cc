@@ -127,7 +127,7 @@ class SnapshotFuzzTest : public ::testing::Test {
     Dess3System system;
     ShapeDatabase db = testing_util::BuildSyntheticFeatureDb(3, 3, 2);
     for (const ShapeRecord& rec : db.records()) {
-      system.IngestRecord(rec);
+      ASSERT_TRUE(system.Ingest(rec, {}).ok());
     }
     ASSERT_TRUE(system.Commit().ok());
     ASSERT_TRUE(system.SaveSnapshot(golden_.string()).ok());
@@ -178,7 +178,7 @@ TEST_F(SnapshotFuzzTest, GoldenSnapshotReopensAndAnswersIdentically) {
 TEST_F(SnapshotFuzzTest, TruncatedSectionsFailAsDataLoss) {
   for (const char* file :
        {kSnapshotRecordsFile, kSnapshotSpacesFile,
-        "hierarchy_eigenvalues.bin", "index_geometric_params.drt"}) {
+        "hierarchy_eigenvalues.bin", "hierarchy_geometric_params.bin"}) {
     const std::filesystem::path variant = MakeVariant();
     std::vector<char> bytes = ReadFile(variant / file);
     ASSERT_GT(bytes.size(), 8u) << file;
@@ -196,7 +196,7 @@ TEST_F(SnapshotFuzzTest, BitFlippedSectionsFailAsDataLoss) {
   const char* files[] = {kSnapshotRecordsFile, kSnapshotSpacesFile,
                          kSnapshotMeshesFile,
                          "hierarchy_moment_invariants.bin",
-                         "index_principal_moments.drt"};
+                         "hierarchy_principal_moments.bin"};
   for (const char* file : files) {
     for (int trial = 0; trial < 8; ++trial) {
       const std::filesystem::path variant = MakeVariant();
@@ -252,7 +252,7 @@ TEST_F(SnapshotFuzzTest, VersionSkewWithValidChecksumIsFailedPrecondition) {
   // for the retired older versions: this build reads exactly one format.
   // Rebuild the manifest tail CRC after patching the version field
   // (offset 4).
-  for (const uint32_t version : {kSnapshotFormatVersion + 1, 1u, 2u}) {
+  for (const uint32_t version : {kSnapshotFormatVersion + 1, 1u, 2u, 3u}) {
     const std::filesystem::path variant = MakeVariant();
     std::vector<char> bytes = ReadFile(variant / kSnapshotManifestFile);
     ASSERT_GT(bytes.size(), 36u);
@@ -277,7 +277,7 @@ TEST_F(SnapshotFuzzTest, MissingManifestIsNotFound) {
 TEST_F(SnapshotFuzzTest, MissingSectionIsDataLoss) {
   for (const char* file :
        {kSnapshotRecordsFile, kSnapshotSpacesFile,
-        "index_eigenvalues.drt"}) {
+        "hierarchy_eigenvalues.bin"}) {
     const std::filesystem::path variant = MakeVariant();
     std::filesystem::remove(variant / file);
     auto result = Dess3System::OpenFromSnapshot(variant.string());

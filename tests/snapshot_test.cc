@@ -48,7 +48,9 @@ TEST(SnapshotTest, BuildStampsEpochAndServesQueries) {
 
 TEST(SnapshotTest, HeldSnapshotSurvivesLaterIngestAndCommit) {
   Dess3System system(FastSystemOptions());
-  for (uint64_t s = 0; s < 4; ++s) system.IngestRecord(SyntheticRecord(s));
+  for (uint64_t s = 0; s < 4; ++s) {
+    ASSERT_TRUE(system.Ingest(SyntheticRecord(s), {}).ok());
+  }
   ASSERT_TRUE(system.Commit().ok());
 
   auto old_snapshot = system.CurrentSnapshot();
@@ -56,7 +58,7 @@ TEST(SnapshotTest, HeldSnapshotSurvivesLaterIngestAndCommit) {
   const size_t old_size = (*old_snapshot)->db().NumShapes();
 
   // Mutate and republish: the held snapshot must not move.
-  system.IngestRecord(SyntheticRecord(99));
+  ASSERT_TRUE(system.Ingest(SyntheticRecord(99), {}).ok());
   ASSERT_TRUE(system.Commit().ok());
   EXPECT_EQ(system.PublishedEpoch(), 2u);
   EXPECT_EQ((*old_snapshot)->epoch(), 1u);
@@ -79,7 +81,9 @@ TEST(SnapshotTest, SnapshotOutlivesOwningSystem) {
   std::shared_ptr<const SystemSnapshot> snapshot;
   {
     Dess3System system(FastSystemOptions());
-    for (uint64_t s = 0; s < 3; ++s) system.IngestRecord(SyntheticRecord(s));
+    for (uint64_t s = 0; s < 3; ++s) {
+      ASSERT_TRUE(system.Ingest(SyntheticRecord(s), {}).ok());
+    }
     ASSERT_TRUE(system.Commit().ok());
     auto acquired = system.CurrentSnapshot();
     ASSERT_TRUE(acquired.ok());
@@ -93,14 +97,16 @@ TEST(SnapshotTest, SnapshotOutlivesOwningSystem) {
 
 TEST(SnapshotTest, RepublishReclaimsSupersededSnapshot) {
   Dess3System system(FastSystemOptions());
-  for (uint64_t s = 0; s < 3; ++s) system.IngestRecord(SyntheticRecord(s));
+  for (uint64_t s = 0; s < 3; ++s) {
+    ASSERT_TRUE(system.Ingest(SyntheticRecord(s), {}).ok());
+  }
   ASSERT_TRUE(system.Commit().ok());
   std::weak_ptr<const SystemSnapshot> superseded;
   {
     auto held = system.CurrentSnapshot();
     ASSERT_TRUE(held.ok());
     superseded = *held;
-    system.IngestRecord(SyntheticRecord(50));
+    ASSERT_TRUE(system.Ingest(SyntheticRecord(50), {}).ok());
     ASSERT_TRUE(system.Commit().ok());
     EXPECT_FALSE(superseded.expired());  // still held by `held`
   }
@@ -110,7 +116,9 @@ TEST(SnapshotTest, RepublishReclaimsSupersededSnapshot) {
 
 TEST(SnapshotTest, RepeatedQueriesOnOneSnapshotAreBitIdentical) {
   Dess3System system(FastSystemOptions());
-  for (uint64_t s = 0; s < 5; ++s) system.IngestRecord(SyntheticRecord(s));
+  for (uint64_t s = 0; s < 5; ++s) {
+    ASSERT_TRUE(system.Ingest(SyntheticRecord(s), {}).ok());
+  }
   ASSERT_TRUE(system.Commit().ok());
   auto snapshot = system.CurrentSnapshot();
   ASSERT_TRUE(snapshot.ok());

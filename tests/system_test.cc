@@ -178,7 +178,7 @@ TEST(SystemTest, HierarchiesBuiltPerFeature) {
   Dess3System system(FastSystemOptions());
   ShapeDatabase synthetic = testing_util::BuildSyntheticFeatureDb(4, 4, 2);
   for (const ShapeRecord& rec : synthetic.records()) {
-    system.IngestRecord(rec);
+    ASSERT_TRUE(system.Ingest(rec, {}).ok());
   }
   ASSERT_TRUE(system.Commit().ok());
   for (FeatureKind kind : AllFeatureKinds()) {
@@ -229,7 +229,7 @@ TEST(SystemTest, SaveLoadRoundTrip) {
   Dess3System system(FastSystemOptions());
   ShapeDatabase synthetic = testing_util::BuildSyntheticFeatureDb(3, 3, 1);
   for (const ShapeRecord& rec : synthetic.records()) {
-    system.IngestRecord(rec);
+    ASSERT_TRUE(system.Ingest(rec, {}).ok());
   }
   ASSERT_TRUE(system.Commit().ok());
   ASSERT_TRUE(system.Save(path).ok());

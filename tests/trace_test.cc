@@ -208,7 +208,7 @@ class TraceSystemTest : public TraceTest {
     system_ = std::make_unique<Dess3System>(options);
     db_ = testing_util::BuildSyntheticFeatureDb(3, 4, 2);
     for (const ShapeRecord& rec : db_.records()) {
-      system_->IngestRecord(rec);
+      ASSERT_TRUE(system_->Ingest(rec, {}).ok());
     }
     ASSERT_TRUE(system_->Commit().ok());
     // Drop the spans recorded during ingest/commit: the assertions below

@@ -19,6 +19,7 @@
 #include "src/common/crc32c.h"
 #include "src/common/rng.h"
 #include "src/core/system.h"
+#include "src/core/wal.h"
 #include "tests/test_util.h"
 
 namespace dess {
@@ -288,6 +289,61 @@ TEST_F(WalRecoveryTest, TornFinalAppendDropsOnlyThePendingTail) {
   EXPECT_EQ((*system)->PublishedEpoch(), kCommittedEpoch);
   EXPECT_EQ((*system)->PendingRecords(), kPending - 1);
   ExpectReferenceAnswers(system->get(), "torn tail");
+}
+
+TEST_F(WalRecoveryTest, CrashWhileACheckpointIsSwappedInRecovers) {
+  // A full commit fsyncs its marker, then swaps its checkpoint in for the
+  // previous one. A crash inside the swap can leave the new snapshot
+  // complete in snapshot.tmp (its MANIFEST is written last) and none at
+  // snapshot/. The WAL then holds the marker but not the records the
+  // checkpoint covers, so the open must finish the swap, not start empty.
+  const fs::path live = root_ / "swap_live";
+  const fs::path crashed = root_ / "swap_crashed";
+  auto system = Dess3System::Open(live.string(), {}, FastSystemOptions());
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  size_t next = 0;
+  for (; next < kCheckpointed; ++next) Ingest(system->get(), next);
+  ASSERT_TRUE((*system)->Commit().ok());  // first checkpoint, WAL reset
+  for (; next < kCheckpointed + kDelta; ++next) Ingest(system->get(), next);
+  fs::copy(live, crashed, fs::copy_options::recursive);
+  // Marker, checkpoint, WAL reset. Keeping the first checkpoint's
+  // calibration makes the answers those of the fixture's delta publish.
+  auto receipt = (*system)->Commit(
+      CommitOptions{.mode = CommitMode::kFull, .recalibrate = false});
+  ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
+  ASSERT_EQ(receipt->epoch, kCommittedEpoch);
+  system->reset();
+
+  // Forge the crash on the copy taken before that commit: append the
+  // marker the commit fsynced (a full commit under the frozen calibration
+  // of the first checkpoint), drop the old checkpoint, and stage the new.
+  {
+    WriteAheadLog::Replay replay;
+    auto wal = WriteAheadLog::Open((crashed / "wal.log").string(),
+                                   *RegistryOrCanonical(nullptr), &replay);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    ASSERT_EQ(replay.records.size(), kDelta);
+    WriteAheadLog::CommitMarker marker;
+    marker.epoch = kCommittedEpoch;
+    marker.mode = static_cast<uint8_t>(CommitMode::kFull);
+    marker.calibration_records = kCheckpointed;
+    marker.base_records = kCheckpointed + kDelta;
+    marker.committed_records = kCheckpointed + kDelta;
+    ASSERT_TRUE((*wal)->AppendCommit(marker).ok());
+  }
+  fs::remove_all(crashed / "snapshot");
+  fs::copy(live / "snapshot", crashed / "snapshot.tmp",
+           fs::copy_options::recursive);
+
+  auto recovered =
+      Dess3System::Open(crashed.string(), {}, FastSystemOptions());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->PublishedEpoch(), kCommittedEpoch);
+  EXPECT_EQ((*recovered)->PendingRecords(), 0u);
+  EXPECT_EQ((*recovered)->db().NumShapes(), kCheckpointed + kDelta);
+  EXPECT_TRUE(fs::exists(crashed / "snapshot" / "MANIFEST"));
+  EXPECT_FALSE(fs::exists(crashed / "snapshot.tmp"));
+  ExpectReferenceAnswers(recovered->get(), "swap crash");
 }
 
 }  // namespace
