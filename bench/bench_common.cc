@@ -50,7 +50,8 @@ std::unique_ptr<Dess3System> BuildFresh(const std::string& cache_path) {
                       .count();
   std::fprintf(stderr, "[bench] built %zu shapes in %.1f s\n",
                system->db().NumShapes(), dt / 1000.0);
-  if (Status save = system->Save(cache_path); !save.ok()) {
+  if (Status save = system->SaveSnapshot(cache_path, {.overwrite = true});
+      !save.ok()) {
     std::fprintf(stderr, "[bench] cache save failed (continuing): %s\n",
                  save.ToString().c_str());
   }
@@ -63,8 +64,8 @@ const Dess3System& StandardSystem(const std::string& cache_path) {
   static std::unique_ptr<Dess3System>* holder =
       new std::unique_ptr<Dess3System>([&] {
         if (std::filesystem::exists(cache_path)) {
-          auto loaded =
-              Dess3System::LoadFrom(cache_path, StandardSystemOptions());
+          auto loaded = Dess3System::OpenFromSnapshot(
+              cache_path, {}, StandardSystemOptions());
           if (loaded.ok() && (*loaded)->db().NumShapes() == 113) {
             std::fprintf(stderr, "[bench] loaded cached database %s\n",
                          cache_path.c_str());

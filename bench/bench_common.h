@@ -18,16 +18,17 @@ struct StandardConfig {
 
 /// Returns the 113-shape 3DESS instance (26 groups + 27 noise shapes),
 /// committed and ready to query. The first call builds the dataset and
-/// runs feature extraction on all shapes (tens of seconds), then caches
-/// the database to `cache_path`; later calls (and other bench binaries)
-/// load the cache. The instance is a process-lifetime singleton.
+/// runs feature extraction on all shapes (tens of seconds), then saves
+/// the committed snapshot to the `cache_path` directory; later calls (and
+/// other bench binaries) reopen it. The instance is a process-lifetime
+/// singleton.
 const Dess3System& StandardSystem(
-    const std::string& cache_path = "dess113_cache.bin");
+    const std::string& cache_path = "dess113_cache");
 
 /// The published snapshot of StandardSystem(): the engine + hierarchies
 /// every read-only experiment binary queries against.
 const SystemSnapshot& StandardSnapshot(
-    const std::string& cache_path = "dess113_cache.bin");
+    const std::string& cache_path = "dess113_cache");
 
 /// Prints a horizontal rule + centered title, used by the figure benches.
 void PrintHeader(const std::string& title);

@@ -55,7 +55,6 @@ dess::EffectivenessRow CombinedRow(const dess::SearchEngine& engine) {
 
 int main(int argc, char** argv) {
   using namespace dess;
-  const Dess3System& system = bench::StandardSystem();
   auto rows = RunAverageEffectiveness(bench::StandardSnapshot().engine());
   if (!rows.ok()) {
     std::fprintf(stderr, "%s\n", rows.status().ToString().c_str());

@@ -10,7 +10,6 @@
 
 int main() {
   using namespace dess;
-  const Dess3System& system = bench::StandardSystem();
   auto rows = RunAverageEffectiveness(bench::StandardSnapshot().engine());
   if (!rows.ok()) {
     std::fprintf(stderr, "%s\n", rows.status().ToString().c_str());

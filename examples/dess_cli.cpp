@@ -1,28 +1,32 @@
 // dess_cli — command-line front end for 3DESS, the kind of tool a
 // downstream user would drive the library with.
 //
-//   dess_cli build <db_file> [--groups N] [--noise N] [--seed S]
+// Every <db_dir> is a snapshot directory (Dess3System::SaveSnapshot):
+// records, meshes, calibrated spaces and browsing hierarchies, reopened
+// without re-extracting or recalibrating.
+//
+//   dess_cli build <db_dir> [--groups N] [--noise N] [--seed S]
 //       Generate the synthetic engineering dataset, extract features, and
 //       persist the database.
-//   dess_cli ingest <db_file> <mesh_file> [group]
+//   dess_cli ingest <db_dir> <mesh_file> [group]
 //       Add an external CAD file (.off/.obj/.stl) to an existing database.
-//   dess_cli info <db_file>
+//   dess_cli info <db_dir>
 //       Print catalog statistics.
-//   dess_cli query <db_file> <mesh_file> [k] [feature]
+//   dess_cli query <db_dir> <mesh_file> [k] [feature]
 //       Query by example with an external mesh.
-//   dess_cli multistep <db_file> <mesh_file> [k]
+//   dess_cli multistep <db_dir> <mesh_file> [k]
 //       Multi-step query (invariants -> geometric re-rank).
-//   dess_cli browse <db_file> [feature]
+//   dess_cli browse <db_dir> [feature]
 //       Print the drill-down browsing hierarchy.
-//   dess_cli render <db_file> <shape_id> <output_prefix>
+//   dess_cli render <db_dir> <shape_id> <output_prefix>
 //       Generate turntable views + triangulated OBJ for one shape.
 //   dess_cli export-dataset <dir> [--groups N] [--noise N] [--seed S]
 //       Generate the synthetic dataset as OFF meshes + manifest.csv.
-//   dess_cli build-from-dir <db_file> <dir>
+//   dess_cli build-from-dir <db_dir> <dir>
 //       Build a database from a directory of meshes + manifest.csv
 //       (the format export-dataset writes; use it to index your own
 //       CAD collections).
-//   dess_cli effectiveness <db_file>
+//   dess_cli effectiveness <db_dir>
 //       Run the 26-query effectiveness experiment on any database with
 //       ground-truth groups (the Figure 15/16 protocol).
 
@@ -53,6 +57,14 @@ int Fail(const Status& st) {
   return 1;
 }
 
+Result<std::unique_ptr<Dess3System>> OpenDb(const char* dir) {
+  return Dess3System::OpenFromSnapshot(dir, {}, CliSystemOptions());
+}
+
+Status SaveDb(const Dess3System& system, const char* dir) {
+  return system.SaveSnapshot(dir, {.overwrite = true});
+}
+
 Result<FeatureKind> ParseFeature(const std::string& name) {
   for (FeatureKind kind : AllFeatureKinds()) {
     if (FeatureKindName(kind) == name) return kind;
@@ -65,7 +77,7 @@ Result<FeatureKind> ParseFeature(const std::string& name) {
 
 int CmdBuild(int argc, char** argv) {
   if (argc < 3) {
-    std::fprintf(stderr, "usage: dess_cli build <db_file> [--groups N] "
+    std::fprintf(stderr, "usage: dess_cli build <db_dir> [--groups N] "
                          "[--noise N] [--seed S]\n");
     return 2;
   }
@@ -85,7 +97,7 @@ int CmdBuild(int argc, char** argv) {
   Dess3System system(CliSystemOptions());
   if (Status st = system.IngestDataset(*dataset); !st.ok()) return Fail(st);
   if (auto epoch = system.Commit(); !epoch.ok()) return Fail(epoch.status());
-  if (Status st = system.Save(argv[2]); !st.ok()) return Fail(st);
+  if (Status st = SaveDb(system, argv[2]); !st.ok()) return Fail(st);
   std::printf("built %zu shapes (%d groups) -> %s\n",
               system.db().NumShapes(), system.db().NumGroups(), argv[2]);
   return 0;
@@ -94,10 +106,10 @@ int CmdBuild(int argc, char** argv) {
 int CmdIngest(int argc, char** argv) {
   if (argc < 4) {
     std::fprintf(stderr,
-                 "usage: dess_cli ingest <db_file> <mesh_file> [group]\n");
+                 "usage: dess_cli ingest <db_dir> <mesh_file> [group]\n");
     return 2;
   }
-  auto system = Dess3System::LoadFrom(argv[2], CliSystemOptions());
+  auto system = OpenDb(argv[2]);
   if (!system.ok()) return Fail(system.status());
   auto mesh = ReadMesh(argv[3]);
   if (!mesh.ok()) return Fail(mesh.status());
@@ -107,17 +119,17 @@ int CmdIngest(int argc, char** argv) {
   if (auto epoch = (*system)->Commit(); !epoch.ok()) {
     return Fail(epoch.status());
   }
-  if (Status st = (*system)->Save(argv[2]); !st.ok()) return Fail(st);
+  if (Status st = SaveDb(**system, argv[2]); !st.ok()) return Fail(st);
   std::printf("ingested '%s' as shape %d (group %d)\n", argv[3], *id, group);
   return 0;
 }
 
 int CmdInfo(int argc, char** argv) {
   if (argc < 3) {
-    std::fprintf(stderr, "usage: dess_cli info <db_file>\n");
+    std::fprintf(stderr, "usage: dess_cli info <db_dir>\n");
     return 2;
   }
-  auto system = Dess3System::LoadFrom(argv[2], CliSystemOptions());
+  auto system = OpenDb(argv[2]);
   if (!system.ok()) return Fail(system.status());
   const ShapeDatabase& db = (*system)->db();
   std::printf("database: %s\n", argv[2]);
@@ -141,11 +153,11 @@ int CmdInfo(int argc, char** argv) {
 int CmdQuery(int argc, char** argv) {
   if (argc < 4) {
     std::fprintf(stderr,
-                 "usage: dess_cli query <db_file> <mesh_file> [k] "
+                 "usage: dess_cli query <db_dir> <mesh_file> [k] "
                  "[feature]\n");
     return 2;
   }
-  auto system = Dess3System::LoadFrom(argv[2], CliSystemOptions());
+  auto system = OpenDb(argv[2]);
   if (!system.ok()) return Fail(system.status());
   auto mesh = ReadMesh(argv[3]);
   if (!mesh.ok()) return Fail(mesh.status());
@@ -171,10 +183,10 @@ int CmdQuery(int argc, char** argv) {
 int CmdMultiStep(int argc, char** argv) {
   if (argc < 4) {
     std::fprintf(stderr,
-                 "usage: dess_cli multistep <db_file> <mesh_file> [k]\n");
+                 "usage: dess_cli multistep <db_dir> <mesh_file> [k]\n");
     return 2;
   }
-  auto system = Dess3System::LoadFrom(argv[2], CliSystemOptions());
+  auto system = OpenDb(argv[2]);
   if (!system.ok()) return Fail(system.status());
   auto mesh = ReadMesh(argv[3]);
   if (!mesh.ok()) return Fail(mesh.status());
@@ -210,10 +222,10 @@ void PrintHierarchy(const ShapeDatabase& db, const HierarchyNode* node,
 
 int CmdBrowse(int argc, char** argv) {
   if (argc < 3) {
-    std::fprintf(stderr, "usage: dess_cli browse <db_file> [feature]\n");
+    std::fprintf(stderr, "usage: dess_cli browse <db_dir> [feature]\n");
     return 2;
   }
-  auto system = Dess3System::LoadFrom(argv[2], CliSystemOptions());
+  auto system = OpenDb(argv[2]);
   if (!system.ok()) return Fail(system.status());
   FeatureKind kind = FeatureKind::kPrincipalMoments;
   if (argc > 3) {
@@ -231,10 +243,10 @@ int CmdBrowse(int argc, char** argv) {
 int CmdRender(int argc, char** argv) {
   if (argc < 5) {
     std::fprintf(stderr,
-                 "usage: dess_cli render <db_file> <shape_id> <prefix>\n");
+                 "usage: dess_cli render <db_dir> <shape_id> <prefix>\n");
     return 2;
   }
-  auto system = Dess3System::LoadFrom(argv[2], CliSystemOptions());
+  auto system = OpenDb(argv[2]);
   if (!system.ok()) return Fail(system.status());
   auto rec = (*system)->db().Get(std::atoi(argv[3]));
   if (!rec.ok()) return Fail(rec.status());
@@ -278,7 +290,7 @@ int CmdExportDataset(int argc, char** argv) {
 int CmdBuildFromDir(int argc, char** argv) {
   if (argc < 4) {
     std::fprintf(stderr,
-                 "usage: dess_cli build-from-dir <db_file> <dir>\n");
+                 "usage: dess_cli build-from-dir <db_dir> <dir>\n");
     return 2;
   }
   auto dataset = LoadDatasetFromDirectory(argv[3]);
@@ -290,7 +302,7 @@ int CmdBuildFromDir(int argc, char** argv) {
     return Fail(st);
   }
   if (auto epoch = system.Commit(); !epoch.ok()) return Fail(epoch.status());
-  if (Status st = system.Save(argv[2]); !st.ok()) return Fail(st);
+  if (Status st = SaveDb(system, argv[2]); !st.ok()) return Fail(st);
   std::printf("indexed %zu shapes from %s -> %s\n",
               system.db().NumShapes(), argv[3], argv[2]);
   return 0;
@@ -298,10 +310,10 @@ int CmdBuildFromDir(int argc, char** argv) {
 
 int CmdEffectiveness(int argc, char** argv) {
   if (argc < 3) {
-    std::fprintf(stderr, "usage: dess_cli effectiveness <db_file>\n");
+    std::fprintf(stderr, "usage: dess_cli effectiveness <db_dir>\n");
     return 2;
   }
-  auto system = Dess3System::LoadFrom(argv[2], CliSystemOptions());
+  auto system = OpenDb(argv[2]);
   if (!system.ok()) return Fail(system.status());
   auto snapshot = (*system)->CurrentSnapshot();
   if (!snapshot.ok()) return Fail(snapshot.status());
@@ -323,7 +335,8 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: dess_cli <build|ingest|info|query|multistep|browse|"
-                 "render|export-dataset|effectiveness> ...\n");
+                 "render|export-dataset|build-from-dir|effectiveness> ...\n"
+                 "  (<db_dir> arguments are snapshot directories)\n");
     return 2;
   }
   const std::string cmd = argv[1];

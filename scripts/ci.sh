@@ -43,6 +43,12 @@ run_preset ci
 echo "==> [serve] loopback smoke (ctest -L serve)"
 ctest --preset ci -L serve -j "$JOBS"
 
+# The command-line front end over a snapshot directory (build, info,
+# render, query, ingest, browse), isolated for visibility. Label `cli`;
+# also part of the unfiltered ci pass above.
+echo "==> [cli] dess_cli smoke (ctest -L cli)"
+ctest --preset ci -L cli -j "$JOBS"
+
 # Incremental ingest/commit contract, isolated for visibility: delta
 # commits bit-identical to a frozen full rebuild, commit receipts,
 # background compaction, and the durable-home (WAL) round trips. The WAL

@@ -1,21 +1,21 @@
 // The on-disk snapshot format (see persistence.h for the directory layout
-// and failure taxonomy). Everything format-shaped lives in this one file:
-// SystemSnapshot::SaveTo writes it, Dess3System::OpenFromSnapshot reads it
-// back, and the MANIFEST ties the two together with a format version, the
-// answering epoch, and a CRC-32C per section.
+// and failure taxonomy). The record sections are the record codec's
+// (src/db/serialization.h); the MANIFEST, spaces and hierarchy sections
+// are defined here. SystemSnapshot::SaveTo writes them,
+// Dess3System::OpenFromSnapshot reads them back, and the MANIFEST ties the
+// two together with a format version, the answering epoch, and a CRC-32C
+// per section.
 
 #include "src/core/persistence.h"
 
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <optional>
-#include <set>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "src/common/byte_codec.h"
 #include "src/common/crc32c.h"
 #include "src/common/metrics.h"
 #include "src/common/strings.h"
@@ -47,6 +47,13 @@ constexpr uint32_t kMaxHierarchyChildren = 4096;
 /// moved to `<dir>.old` until the new one is in place.
 constexpr char kStagingSuffix[] = ".tmp";
 constexpr char kRetiredSuffix[] = ".old";
+
+/// The snapshot directory `dir` names, without a trailing separator, so
+/// its siblings land beside it rather than inside it.
+fs::path SnapshotRoot(const std::string& dir) {
+  const fs::path root(dir);
+  return root.has_filename() ? root : root.parent_path();
+}
 
 fs::path Sibling(const fs::path& dir, const char* suffix) {
   fs::path sibling = dir;
@@ -86,12 +93,11 @@ const ManifestSection* FindSection(const Manifest& manifest,
   return nullptr;
 }
 
-/// Writes the MANIFEST: header, section table, then a trailing CRC-32C of
-/// every preceding byte, so a reader can reject any torn or bit-flipped
-/// manifest before trusting a single field.
-Status WriteManifest(const std::string& path, const Manifest& manifest) {
-  BinaryWriter w(path);
-  if (!w.ok()) return Status::IOError("cannot open for write: " + path);
+/// The MANIFEST: header, section table, then a trailing CRC-32C of every
+/// preceding byte, so a reader can reject any torn or bit-flipped manifest
+/// before trusting a single field.
+std::string EncodeManifest(const Manifest& manifest) {
+  ByteWriter w;
   w.WriteU32(kManifestMagic);
   w.WriteU32(kSnapshotFormatVersion);
   w.WriteU64(manifest.epoch);
@@ -111,9 +117,8 @@ Status WriteManifest(const std::string& path, const Manifest& manifest) {
     w.WriteU64(s.size);
     w.WriteU32(s.crc);
   }
-  const uint32_t self_crc = w.crc32c();
-  w.WriteU32(self_crc);
-  return w.Finish();
+  w.WriteU32(Crc32c(w.bytes().data(), w.bytes().size()));
+  return w.Take();
 }
 
 /// Reads and validates a MANIFEST. Taxonomy, in check order: NotFound when
@@ -123,30 +128,26 @@ Status WriteManifest(const std::string& path, const Manifest& manifest) {
 /// reads as corruption, not as version skew. The fields are parsed from
 /// the very bytes the CRC verified, never from a second read of the file.
 Result<Manifest> ReadManifest(const std::string& path) {
-  std::error_code ec;
-  if (!fs::exists(path, ec)) {
-    return Status::NotFound("no snapshot manifest at '" + path + "'");
+  Result<std::string> read = ReadFileBytes(path);
+  if (!read.ok()) {
+    if (read.status().code() == StatusCode::kNotFound) {
+      return Status::NotFound("no snapshot manifest at '" + path + "'");
+    }
+    return read.status();
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::string buf((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::IOError("cannot read manifest: " + path);
-  }
+  const std::string& buf = read.value();
   // Header (32 bytes) + trailing self-CRC is the smallest valid manifest.
   if (buf.size() < 36) {
     return Status::DataLoss("snapshot manifest truncated: " + path);
   }
+  const std::string_view body(buf.data(), buf.size() - sizeof(uint32_t));
   uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, buf.data() + buf.size() - sizeof(stored_crc),
-              sizeof(stored_crc));
-  if (Crc32c(buf.data(), buf.size() - sizeof(stored_crc)) != stored_crc) {
+  ByteReader(std::string_view(buf).substr(body.size())).ReadU32(&stored_crc);
+  if (Crc32c(body.data(), body.size()) != stored_crc) {
     return Status::DataLoss("snapshot manifest checksum mismatch: " + path);
   }
 
-  ByteReader r(reinterpret_cast<const uint8_t*>(buf.data()),
-               buf.size() - sizeof(stored_crc));
+  ByteReader r(body);
   Manifest manifest;
   uint32_t magic = 0;
   if (!r.ReadU32(&magic) || magic != kManifestMagic) {
@@ -188,135 +189,10 @@ Result<Manifest> ReadManifest(const std::string& path) {
       return Status::DataLoss("unparseable snapshot manifest: " + path);
     }
   }
+  if (!r.AtEnd()) {
+    return Status::DataLoss("trailing bytes in snapshot manifest: " + path);
+  }
   return manifest;
-}
-
-/// records.bin: the catalog and every feature vector of every record, in
-/// store order. Each feature is tagged with its registry ordinal. Geometry
-/// lives in the (optional) meshes.bin so that feature-only snapshots stay
-/// small.
-Status WriteRecords(const std::string& path, const ShapeDatabase& db) {
-  BinaryWriter w(path);
-  if (!w.ok()) return Status::IOError("cannot open for write: " + path);
-  w.WriteU64(db.NumShapes());
-  for (const ShapeRecord& rec : db.records()) {
-    w.WriteI32(rec.id);
-    w.WriteString(rec.name);
-    w.WriteI32(rec.group);
-    const uint32_t nf = static_cast<uint32_t>(rec.signature.NumSpaces());
-    w.WriteU32(nf);
-    for (uint32_t f = 0; f < nf; ++f) {
-      w.WriteU32(f);
-      w.WriteF64Vector(rec.signature.At(f).values);
-    }
-  }
-  return w.Finish();
-}
-
-Status LoadRecords(const std::string& path,
-                   const FeatureSpaceRegistry& registry,
-                   std::vector<ShapeRecord>* records) {
-  BinaryReader r(path);
-  if (!r.ok()) return Status::IOError("cannot open for read: " + path);
-  uint64_t count = 0;
-  if (!r.ReadU64(&count)) {
-    return Status::DataLoss("truncated snapshot records: " + path);
-  }
-  records->clear();
-  records->reserve(count);
-  const uint32_t num_spaces = static_cast<uint32_t>(registry.size());
-  for (uint64_t i = 0; i < count; ++i) {
-    ShapeRecord rec;
-    int32_t id = 0, group = 0;
-    uint32_t nf = 0;
-    if (!r.ReadI32(&id) || !r.ReadString(&rec.name) || !r.ReadI32(&group) ||
-        !r.ReadU32(&nf) || nf != num_spaces) {
-      return Status::DataLoss("truncated snapshot records: " + path);
-    }
-    rec.id = id;
-    rec.group = group;
-    for (uint32_t f = 0; f < nf; ++f) {
-      uint32_t ordinal = 0;
-      std::vector<double> values;
-      if (!r.ReadU32(&ordinal) || ordinal >= num_spaces ||
-          !r.ReadF64Vector(&values) ||
-          values.size() != static_cast<size_t>(registry.dim(ordinal))) {
-        return Status::DataLoss("bad feature vector in snapshot records: " +
-                                path);
-      }
-      FeatureVector& fv = rec.signature.MutableAt(static_cast<int>(ordinal));
-      fv.kind = static_cast<FeatureKind>(ordinal);
-      fv.space = registry.id(ordinal);
-      fv.values = std::move(values);
-    }
-    records->push_back(std::move(rec));
-  }
-  return r.Finish();
-}
-
-/// meshes.bin: record geometry keyed by id, same order as records.bin.
-Status WriteMeshes(const std::string& path, const ShapeDatabase& db) {
-  BinaryWriter w(path);
-  if (!w.ok()) return Status::IOError("cannot open for write: " + path);
-  w.WriteU64(db.NumShapes());
-  for (const ShapeRecord& rec : db.records()) {
-    w.WriteI32(rec.id);
-    w.WriteU64(rec.mesh.NumVertices());
-    for (const Vec3& v : rec.mesh.vertices()) {
-      w.WriteF64(v.x);
-      w.WriteF64(v.y);
-      w.WriteF64(v.z);
-    }
-    w.WriteU64(rec.mesh.NumTriangles());
-    for (const auto& t : rec.mesh.triangles()) {
-      w.WriteU32(t[0]);
-      w.WriteU32(t[1]);
-      w.WriteU32(t[2]);
-    }
-  }
-  return w.Finish();
-}
-
-Status LoadMeshes(const std::string& path,
-                  std::unordered_map<int, TriMesh>* meshes) {
-  BinaryReader r(path);
-  if (!r.ok()) return Status::IOError("cannot open for read: " + path);
-  uint64_t count = 0;
-  if (!r.ReadU64(&count)) {
-    return Status::DataLoss("truncated snapshot meshes: " + path);
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    int32_t id = 0;
-    uint64_t nv = 0;
-    if (!r.ReadI32(&id) || !r.ReadU64(&nv)) {
-      return Status::DataLoss("truncated snapshot meshes: " + path);
-    }
-    TriMesh mesh;
-    for (uint64_t v = 0; v < nv; ++v) {
-      double x, y, z;
-      if (!r.ReadF64(&x) || !r.ReadF64(&y) || !r.ReadF64(&z)) {
-        return Status::DataLoss("truncated snapshot mesh vertex: " + path);
-      }
-      mesh.AddVertex({x, y, z});
-    }
-    uint64_t nt = 0;
-    if (!r.ReadU64(&nt)) {
-      return Status::DataLoss("truncated snapshot meshes: " + path);
-    }
-    for (uint64_t t = 0; t < nt; ++t) {
-      uint32_t a, b, c;
-      if (!r.ReadU32(&a) || !r.ReadU32(&b) || !r.ReadU32(&c)) {
-        return Status::DataLoss("truncated snapshot mesh triangle: " + path);
-      }
-      if (a >= nv || b >= nv || c >= nv) {
-        return Status::DataLoss("snapshot mesh triangle index out of range: " +
-                                path);
-      }
-      mesh.AddTriangle(a, b, c);
-    }
-    (*meshes)[id] = std::move(mesh);
-  }
-  return r.Finish();
 }
 
 /// spaces.bin: every calibrated SimilaritySpace, tagged with its registry
@@ -324,9 +200,8 @@ Status LoadMeshes(const std::string& path,
 /// is what makes a reopened system answer bit-identically: every distance
 /// and similarity a query produces is a function of the raw features plus
 /// exactly these numbers.
-Status WriteSpaces(const std::string& path, const SearchEngine& engine) {
-  BinaryWriter w(path);
-  if (!w.ok()) return Status::IOError("cannot open for write: " + path);
+std::string EncodeSpaces(const SearchEngine& engine) {
+  ByteWriter w;
   w.WriteU32(static_cast<uint32_t>(engine.NumSpaces()));
   for (int ordinal = 0; ordinal < engine.NumSpaces(); ++ordinal) {
     const SimilaritySpace& space = engine.SpaceAt(ordinal);
@@ -336,79 +211,82 @@ Status WriteSpaces(const std::string& path, const SearchEngine& engine) {
     w.WriteF64Vector(space.weights);
     w.WriteF64(space.dmax);
   }
-  return w.Finish();
+  return w.Take();
 }
 
-Result<std::vector<SimilaritySpace>> LoadSpaces(
-    const std::string& path, const FeatureSpaceRegistry& registry) {
-  BinaryReader r(path);
-  if (!r.ok()) return Status::IOError("cannot open for read: " + path);
+Result<std::vector<SimilaritySpace>> DecodeSpaces(
+    std::string_view bytes, const FeatureSpaceRegistry& registry,
+    const std::string& path) {
+  ByteReader r(bytes);
   uint32_t n = 0;
   if (!r.ReadU32(&n) || n != static_cast<uint32_t>(registry.size())) {
     return Status::DataLoss("bad space count in snapshot spaces: " + path);
   }
   std::vector<SimilaritySpace> spaces(n);
   for (uint32_t i = 0; i < n; ++i) {
+    const size_t dim = static_cast<size_t>(registry.dim(i));
     uint32_t ordinal = 0;
-    SimilaritySpace space;
+    SimilaritySpace& space = spaces[i];
     if (!r.ReadU32(&ordinal) || ordinal != i ||
         !r.ReadF64Vector(&space.stats.mean) ||
         !r.ReadF64Vector(&space.stats.stddev) ||
-        !r.ReadF64Vector(&space.weights) || !r.ReadF64(&space.dmax)) {
+        !r.ReadF64Vector(&space.weights) || !r.ReadF64(&space.dmax) ||
+        space.stats.mean.size() != dim || space.stats.stddev.size() != dim ||
+        space.weights.size() != dim) {
       return Status::DataLoss("unparseable snapshot spaces: " + path);
     }
     space.kind = static_cast<FeatureKind>(i);
     space.id = registry.id(i);
-    spaces[i] = std::move(space);
   }
-  DESS_RETURN_NOT_OK(r.Finish());
+  if (!r.AtEnd()) {
+    return Status::DataLoss("trailing bytes in snapshot spaces: " + path);
+  }
   return spaces;
 }
 
-/// hierarchy_<kind>.bin: the browsing tree, preorder-recursive.
-void WriteHierarchyNode(BinaryWriter& w, const HierarchyNode& node) {
-  w.WriteI32Vector(node.members);
-  w.WriteF64Vector(node.centroid);
-  w.WriteU32(static_cast<uint32_t>(node.children.size()));
-  for (const auto& child : node.children) {
-    WriteHierarchyNode(w, *child);
-  }
+/// hierarchy_<id>.bin: the browsing tree, preorder-recursive.
+void EncodeHierarchyNode(const HierarchyNode& node, ByteWriter* w) {
+  w->WriteI32Vector(node.members);
+  w->WriteF64Vector(node.centroid);
+  w->WriteU32(static_cast<uint32_t>(node.children.size()));
+  for (const auto& child : node.children) EncodeHierarchyNode(*child, w);
 }
 
-Result<std::unique_ptr<HierarchyNode>> ReadHierarchyNode(
-    BinaryReader& r, const std::string& path, int depth) {
+std::string EncodeHierarchy(const HierarchyNode& root) {
+  ByteWriter w;
+  EncodeHierarchyNode(root, &w);
+  return w.Take();
+}
+
+Result<std::unique_ptr<HierarchyNode>> DecodeHierarchyNode(
+    ByteReader* r, const std::string& path, int depth) {
   if (depth > kMaxHierarchyDepth) {
     return Status::DataLoss("snapshot hierarchy too deep: " + path);
   }
   auto node = std::make_unique<HierarchyNode>();
   uint32_t num_children = 0;
-  if (!r.ReadI32Vector(&node->members) || !r.ReadF64Vector(&node->centroid) ||
-      !r.ReadU32(&num_children) || num_children > kMaxHierarchyChildren) {
+  if (!r->ReadI32Vector(&node->members) ||
+      !r->ReadF64Vector(&node->centroid) || !r->ReadU32(&num_children) ||
+      num_children > kMaxHierarchyChildren) {
     return Status::DataLoss("unparseable snapshot hierarchy: " + path);
   }
   node->children.reserve(num_children);
   for (uint32_t i = 0; i < num_children; ++i) {
     DESS_ASSIGN_OR_RETURN(std::unique_ptr<HierarchyNode> child,
-                          ReadHierarchyNode(r, path, depth + 1));
+                          DecodeHierarchyNode(r, path, depth + 1));
     node->children.push_back(std::move(child));
   }
   return node;
 }
 
-Status WriteHierarchy(const std::string& path, const HierarchyNode& root) {
-  BinaryWriter w(path);
-  if (!w.ok()) return Status::IOError("cannot open for write: " + path);
-  WriteHierarchyNode(w, root);
-  return w.Finish();
-}
-
-Result<std::unique_ptr<HierarchyNode>> LoadHierarchy(
-    const std::string& path) {
-  BinaryReader r(path);
-  if (!r.ok()) return Status::IOError("cannot open for read: " + path);
+Result<std::unique_ptr<HierarchyNode>> DecodeHierarchy(
+    std::string_view bytes, const std::string& path) {
+  ByteReader r(bytes);
   DESS_ASSIGN_OR_RETURN(std::unique_ptr<HierarchyNode> root,
-                        ReadHierarchyNode(r, path, 1));
-  DESS_RETURN_NOT_OK(r.Finish());
+                        DecodeHierarchyNode(&r, path, 1));
+  if (!r.AtEnd()) {
+    return Status::DataLoss("trailing bytes in snapshot hierarchy: " + path);
+  }
   return root;
 }
 
@@ -418,7 +296,7 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
                               const SaveOptions& options) const {
   DESS_TIMED_SCOPE("snapshot.save");
   const FeatureSpaceRegistry& registry = engine_->registry();
-  const fs::path target(dir);
+  const fs::path target = SnapshotRoot(dir);
   std::error_code ec;
   const bool target_exists = fs::exists(target, ec);
   if (target_exists) {
@@ -465,30 +343,28 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
                                engine_->BackendIdAt(ordinal)});
   }
 
-  auto add_section = [&](const std::string& file) -> Status {
-    DESS_ASSIGN_OR_RETURN(auto size_crc,
-                          FileSizeAndCrc32c((staging / file).string()));
-    manifest.sections.push_back({file, size_crc.first, size_crc.second});
+  // Each section is encoded in memory, checksummed from that buffer and
+  // written (and fsynced) once; nothing is read back.
+  auto write_section = [&](const std::string& file,
+                           std::string_view bytes) -> Status {
+    DESS_RETURN_NOT_OK(WriteFileSynced((staging / file).string(), bytes));
+    manifest.sections.push_back(
+        {file, bytes.size(), Crc32c(bytes.data(), bytes.size())});
     return Status::OK();
   };
 
   DESS_RETURN_NOT_OK(
-      WriteRecords((staging / kSnapshotRecordsFile).string(), *db_));
-  DESS_RETURN_NOT_OK(add_section(kSnapshotRecordsFile));
+      write_section(kSnapshotRecordsFile, EncodeRecordsSection(*db_)));
   if (options.include_meshes) {
     DESS_RETURN_NOT_OK(
-        WriteMeshes((staging / kSnapshotMeshesFile).string(), *db_));
-    DESS_RETURN_NOT_OK(add_section(kSnapshotMeshesFile));
+        write_section(kSnapshotMeshesFile, EncodeMeshesSection(*db_)));
   }
   DESS_RETURN_NOT_OK(
-      WriteSpaces((staging / kSnapshotSpacesFile).string(), *engine_));
-  DESS_RETURN_NOT_OK(add_section(kSnapshotSpacesFile));
-
+      write_section(kSnapshotSpacesFile, EncodeSpaces(*engine_)));
   for (int ordinal = 0; ordinal < registry.size(); ++ordinal) {
-    const std::string file = SnapshotHierarchyFile(registry.id(ordinal));
     DESS_RETURN_NOT_OK(
-        WriteHierarchy((staging / file).string(), Hierarchy(ordinal)));
-    DESS_RETURN_NOT_OK(add_section(file));
+        write_section(SnapshotHierarchyFile(registry.id(ordinal)),
+                      EncodeHierarchy(Hierarchy(ordinal))));
   }
 
   // Optional graph sections: the bytes the engine hands back for spaces
@@ -499,26 +375,16 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
     const std::optional<std::string> bytes =
         engine_->SerializedIndexAt(ordinal);
     if (!bytes.has_value()) continue;
-    const std::string file = SnapshotGraphFile(registry.id(ordinal));
-    std::ofstream gout((staging / file).string(),
-                       std::ios::binary | std::ios::trunc);
-    if (!gout) {
-      return Status::IOError("cannot open for write: " +
-                             (staging / file).string());
-    }
-    gout.write(bytes->data(), static_cast<std::streamsize>(bytes->size()));
-    gout.close();
-    if (!gout) {
-      return Status::IOError("cannot write snapshot graph section: " +
-                             (staging / file).string());
-    }
-    DESS_RETURN_NOT_OK(add_section(file));
+    DESS_RETURN_NOT_OK(
+        write_section(SnapshotGraphFile(registry.id(ordinal)), *bytes));
   }
 
   // The manifest is written last inside the staging directory, so even the
-  // staging area never looks complete before it is.
-  DESS_RETURN_NOT_OK(
-      WriteManifest((staging / kSnapshotManifestFile).string(), manifest));
+  // staging area never looks complete before it is. Syncing the directory
+  // makes its entries durable before any rename publishes them.
+  DESS_RETURN_NOT_OK(WriteFileSynced(
+      (staging / kSnapshotManifestFile).string(), EncodeManifest(manifest)));
+  DESS_RETURN_NOT_OK(SyncDirectory(staging.string()));
 
   // The live snapshot is moved aside, never removed, until the staged one
   // is in place. A crash between the two renames leaves no snapshot at the
@@ -538,6 +404,10 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
                            "': " + ec.message());
   }
   fs::remove_all(retired, ec);
+  // The renames are durable before the caller relies on the snapshot (a
+  // checkpointing Commit truncates its write-ahead log next).
+  DESS_RETURN_NOT_OK(SyncDirectory(
+      target.has_parent_path() ? target.parent_path().string() : "."));
   MetricsRegistry::Global()->AddCounter("persist.snapshots_saved");
   return Status::OK();
 }
@@ -546,7 +416,7 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
     const std::string& dir, const OpenOptions& open_options,
     const SystemOptions& options) {
   DESS_TIMED_SCOPE("snapshot.open");
-  const fs::path root(dir);
+  const fs::path root = SnapshotRoot(dir);
   std::error_code ec;
   // Finish a publish that a crash interrupted (see SaveTo). The staged
   // snapshot is complete once its MANIFEST exists. It is renamed into
@@ -592,65 +462,39 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
     }
   }
 
-  // Every section the manifest promises must exist with the advertised
-  // bytes before anything is parsed or published — a missing, truncated or
-  // bit-flipped section fails the whole open, never a partial publish.
-  std::vector<std::string> required = {kSnapshotRecordsFile,
-                                       kSnapshotSpacesFile};
-  if ((manifest.flags & kFlagIncludeMeshes) != 0) {
-    required.push_back(kSnapshotMeshesFile);
-  }
-  for (int ordinal = 0; ordinal < registry->size(); ++ordinal) {
-    required.push_back(SnapshotHierarchyFile(registry->id(ordinal)));
-  }
-  for (const std::string& file : required) {
-    if (FindSection(manifest, file) == nullptr) {
+  // Each section is read once; with verify_checksums the size and CRC are
+  // checked on that buffer, and the decoder parses the very same bytes. A
+  // missing, truncated or bit-flipped section fails the whole open, never
+  // a partial publish.
+  auto section_path = [&](const std::string& file) {
+    return (root / file).string();
+  };
+  auto read_section = [&](const std::string& file) -> Result<std::string> {
+    const ManifestSection* section = FindSection(manifest, file);
+    if (section == nullptr) {
       return Status::DataLoss("snapshot manifest lists no section '" + file +
                               "' in '" + dir + "'");
     }
-  }
-  // Graph sections are the one exception to fail-the-whole-open: they are
-  // pure accelerators, so a missing, truncated or bit-flipped graph file
-  // downgrades to a deterministic rebuild from the records instead of
-  // refusing a snapshot whose authoritative sections are intact.
-  std::set<std::string> unusable_graphs;
-  for (const ManifestSection& section : manifest.sections) {
-    const std::string path = (root / section.file).string();
-    const bool optional_graph =
-        section.file.rfind(kSnapshotGraphPrefix, 0) == 0;
-    if (!open_options.verify_checksums) {
-      if (!fs::exists(path, ec)) {
-        if (optional_graph) {
-          unusable_graphs.insert(section.file);
-          continue;
-        }
-        return Status::DataLoss("snapshot section missing: " + path);
-      }
-      continue;
-    }
-    Result<std::pair<uint64_t, uint32_t>> size_crc = FileSizeAndCrc32c(path);
-    if (!size_crc.ok()) {
-      if (optional_graph) {
-        unusable_graphs.insert(section.file);
-        continue;
-      }
+    const std::string path = section_path(file);
+    Result<std::string> bytes = ReadFileBytes(path);
+    if (!bytes.ok()) {
       return Status::DataLoss("snapshot section unreadable: " + path + " (" +
-                              size_crc.status().message() + ")");
+                              bytes.status().message() + ")");
     }
-    if (size_crc.value().first != section.size ||
-        size_crc.value().second != section.crc) {
-      if (optional_graph) {
-        unusable_graphs.insert(section.file);
-        continue;
-      }
+    if (open_options.verify_checksums &&
+        (bytes->size() != section->size ||
+         Crc32c(bytes->data(), bytes->size()) != section->crc)) {
       return Status::DataLoss("snapshot section checksum mismatch: " + path);
     }
-  }
+    return bytes;
+  };
 
-  std::vector<ShapeRecord> records;
-  DESS_RETURN_NOT_OK(
-      LoadRecords((root / kSnapshotRecordsFile).string(), *registry,
-                  &records));
+  std::string bytes;
+  DESS_ASSIGN_OR_RETURN(bytes, read_section(kSnapshotRecordsFile));
+  DESS_ASSIGN_OR_RETURN(
+      std::vector<ShapeRecord> records,
+      DecodeRecordsSection(bytes, *registry,
+                           section_path(kSnapshotRecordsFile)));
   if (records.size() != manifest.num_shapes) {
     return Status::DataLoss(
         StrFormat("snapshot records hold %zu shapes, manifest says %llu: %s",
@@ -659,18 +503,9 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
                   dir.c_str()));
   }
   if ((manifest.flags & kFlagIncludeMeshes) != 0) {
-    std::unordered_map<int, TriMesh> meshes;
-    DESS_RETURN_NOT_OK(
-        LoadMeshes((root / kSnapshotMeshesFile).string(), &meshes));
-    for (ShapeRecord& rec : records) {
-      auto it = meshes.find(rec.id);
-      if (it == meshes.end()) {
-        return Status::DataLoss(
-            StrFormat("snapshot meshes missing shape %d: %s", rec.id,
-                      dir.c_str()));
-      }
-      rec.mesh = std::move(it->second);
-    }
+    DESS_ASSIGN_OR_RETURN(bytes, read_section(kSnapshotMeshesFile));
+    DESS_RETURN_NOT_OK(DecodeMeshesSection(
+        bytes, section_path(kSnapshotMeshesFile), &records));
   }
 
   auto system = std::make_unique<Dess3System>(options);
@@ -682,17 +517,17 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
   }
   std::shared_ptr<const ShapeDatabase> view = system->db_.SnapshotView();
 
-  Result<std::vector<SimilaritySpace>> spaces_or =
-      LoadSpaces((root / kSnapshotSpacesFile).string(), *registry);
-  if (!spaces_or.ok()) return spaces_or.status();
-  std::vector<SimilaritySpace> spaces = std::move(spaces_or).value();
+  DESS_ASSIGN_OR_RETURN(bytes, read_section(kSnapshotSpacesFile));
+  DESS_ASSIGN_OR_RETURN(
+      std::vector<SimilaritySpace> spaces,
+      DecodeSpaces(bytes, *registry, section_path(kSnapshotSpacesFile)));
 
   std::vector<std::unique_ptr<HierarchyNode>> hierarchies(registry->size());
   for (int ordinal = 0; ordinal < registry->size(); ++ordinal) {
-    DESS_ASSIGN_OR_RETURN(
-        hierarchies[ordinal],
-        LoadHierarchy(
-            (root / SnapshotHierarchyFile(registry->id(ordinal))).string()));
+    const std::string file = SnapshotHierarchyFile(registry->id(ordinal));
+    DESS_ASSIGN_OR_RETURN(bytes, read_section(file));
+    DESS_ASSIGN_OR_RETURN(hierarchies[ordinal],
+                          DecodeHierarchy(bytes, section_path(file)));
   }
 
   // The engine's standardize flag travels with the snapshot so a later
@@ -706,21 +541,17 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
   // Every space's index is built through its configured backend, as
   // Commit() builds it. A usable graph section rides along with the id of
   // the backend that wrote it, so an approximate backend can restore its
-  // structure instead of rebuilding it.
+  // structure instead of rebuilding it. Graph sections are the one
+  // exception to fail-the-whole-open: they are pure accelerators, so an
+  // absent, truncated or bit-flipped one downgrades to a deterministic
+  // rebuild from the records.
   std::vector<PersistedIndex> persisted(registry->size());
   for (int ki = 0; ki < registry->size(); ++ki) {
-    const std::string gfile = SnapshotGraphFile(registry->id(ki));
-    if (FindSection(manifest, gfile) == nullptr ||
-        unusable_graphs.count(gfile) > 0) {
-      continue;
-    }
-    std::ifstream gin((root / gfile).string(), std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(gin)),
-                      std::istreambuf_iterator<char>());
-    if (gin.good() || gin.eof()) {
-      persisted[ki].graph_backend = manifest.spaces[ki].backend;
-      persisted[ki].graph = std::move(bytes);
-    }
+    Result<std::string> graph =
+        read_section(SnapshotGraphFile(registry->id(ki)));
+    if (!graph.ok()) continue;
+    persisted[ki].graph_backend = manifest.spaces[ki].backend;
+    persisted[ki].graph = std::move(graph).value();
   }
 
   DESS_ASSIGN_OR_RETURN(
@@ -740,6 +571,10 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
   system->base_snapshot_ = std::move(snapshot);
   system->committed_records_ = system->db_.NumShapes();
   system->base_records_ = system->db_.NumShapes();
+  // The snapshot does not record the prefix its spaces were calibrated
+  // over, so later commit markers carry the record count: Open reads a
+  // marker whose calibration_records equals its checkpoint's record count
+  // as "the checkpoint's own calibration".
   system->calibration_records_ = system->db_.NumShapes();
   system->next_epoch_ = manifest.epoch + 1;
   system->dirty_ = false;

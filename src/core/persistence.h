@@ -12,13 +12,15 @@ namespace dess {
 /// sections — described by a MANIFEST that carries the format version,
 /// the answering epoch, a feature-space table (id, dimension and serving
 /// backend id per registered space, in registry order) and a CRC-32C per
-/// section. The manifest itself is
-/// self-checksummed and the whole directory is staged and renamed into
-/// place, so a snapshot either opens completely or not at all.
+/// section. The manifest itself is self-checksummed. Every file is fsynced
+/// as it is written, and the whole directory is staged, synced and renamed
+/// into place (the parent directory is synced after the rename), so a
+/// snapshot either opens completely or not at all, even after a power loss.
 ///
 /// Failure taxonomy (pinned, like the QueryRequest codes):
-///  - DataLoss: a checksum mismatch, truncated/missing section, or
-///    unparseable manifest — the snapshot cannot be trusted.
+///  - DataLoss: a checksum mismatch, truncated/missing section, a section
+///    with bytes past its last field, or an unparseable manifest — the
+///    snapshot cannot be trusted.
 ///  - FailedPrecondition: version skew (any version but this one) or a
 ///    feature-space mismatch — a valid snapshot that this process cannot
 ///    serve as configured (an upgrade/configuration problem, not data
@@ -77,9 +79,11 @@ struct SaveOptions {
 
 /// How Dess3System::OpenFromSnapshot reads one back.
 struct OpenOptions {
-  /// Verify every section's CRC-32C against the manifest before trusting
-  /// it (one streaming read per file). Disable only for trusted local
-  /// restarts where cold-start latency matters more than bitrot detection.
+  /// Check every section's size and CRC-32C against the manifest before
+  /// parsing it (each section is read once, and the bytes checked are the
+  /// bytes parsed). Disable only for trusted local restarts where
+  /// cold-start latency matters more than bitrot detection; the decoders
+  /// still reject any section they cannot consume exactly.
   bool verify_checksums = true;
 };
 

@@ -426,22 +426,6 @@ Result<const HierarchyNode*> Dess3System::Hierarchy(
   return snapshot->Hierarchy(space_id);
 }
 
-Status Dess3System::Save(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  return db_.Save(path);
-}
-
-Result<std::unique_ptr<Dess3System>> Dess3System::LoadFrom(
-    const std::string& path, const SystemOptions& options) {
-  DESS_ASSIGN_OR_RETURN(ShapeDatabase db, ShapeDatabase::Load(path));
-  auto system = std::make_unique<Dess3System>(options);
-  for (const ShapeRecord& rec : db.records()) {
-    DESS_RETURN_NOT_OK(system->Ingest(rec, {}).status());
-  }
-  DESS_RETURN_NOT_OK(system->Commit().status());
-  return system;
-}
-
 Status Dess3System::SaveSnapshot(const std::string& dir,
                                  const SaveOptions& options) const {
   DESS_ASSIGN_OR_RETURN(std::shared_ptr<const SystemSnapshot> snapshot,
@@ -517,31 +501,24 @@ Result<std::unique_ptr<Dess3System>> Dess3System::Open(
         snap_count > 0) {
       // The checkpoint IS the base the marker layered over.
       base = system->snapshot_;
-    } else if (marker.calibration_records == marker.base_records) {
-      // Checkpoint lagged the marker (crash between marker and
-      // checkpoint): recalibrating over the same prefix reproduces the
-      // lost build bitwise.
-      DESS_ASSIGN_OR_RETURN(
-          base, SystemSnapshot::Build(
-                    system->db_.PrefixView(
-                        static_cast<size_t>(marker.base_records)),
-                    marker.epoch, system->options_.search,
-                    system->options_.hierarchy));
     } else {
-      // The lost base was itself a frozen-calibration rebuild: recover
-      // the calibration from its own prefix first, then rebuild under it.
-      DESS_ASSIGN_OR_RETURN(
-          std::shared_ptr<const SystemSnapshot> calibration_snapshot,
-          SystemSnapshot::Build(
-              system->db_.PrefixView(
-                  static_cast<size_t>(marker.calibration_records)),
-              marker.epoch, system->options_.search,
-              system->options_.hierarchy));
-      const SearchEngine& engine = calibration_snapshot->engine();
+      // The base was lost (a crash between marker and checkpoint, or a
+      // fold after the checkpoint): rebuild it under the marker's
+      // calibration. A reopened system stamps its markers with the
+      // checkpoint's record count, whatever prefix the checkpoint's spaces
+      // were calibrated over, so that count names the checkpoint's own
+      // calibration; any other prefix is recalibrated, which reproduces
+      // the lost calibration bitwise.
       std::vector<SimilaritySpace> spaces;
-      spaces.reserve(engine.NumSpaces());
-      for (int ordinal = 0; ordinal < engine.NumSpaces(); ++ordinal) {
-        spaces.push_back(engine.SpaceAt(ordinal));
+      if (snap_count > 0 &&
+          marker.calibration_records == static_cast<uint64_t>(snap_count)) {
+        spaces = system->PublishedSpacesLocked();
+      } else {
+        DESS_ASSIGN_OR_RETURN(
+            spaces, SearchEngine::CalibrateSpaces(
+                        *system->db_.PrefixView(
+                            static_cast<size_t>(marker.calibration_records)),
+                        system->options_.search));
       }
       DESS_ASSIGN_OR_RETURN(
           base, SystemSnapshot::BuildWithSpaces(

@@ -111,7 +111,7 @@ struct CommitReceipt {
 /// query. Queries before the first Commit() return FailedPrecondition.
 ///
 /// Concurrency model (snapshot isolation):
-///  - Writers (Ingest*, Commit, Save) are serialized by an internal mutex;
+///  - Writers (Ingest*, Commit) are serialized by an internal mutex;
 ///    concurrent ingest calls are safe but run one at a time.
 ///  - Commit() builds the next snapshot while the current one keeps
 ///    serving, then publishes it with one pointer swap. It never waits for
@@ -227,17 +227,6 @@ class Dess3System {
   /// an id the system's registry does not serve.
   Result<const HierarchyNode*> Hierarchy(const std::string& space_id) const;
 
-  /// Persists the database (geometry + features) as one flat file.
-  /// Indexes are rebuilt on load, mirroring the paper's
-  /// index-on-top-of-database design. For restart-fast persistence of the
-  /// full serving state, use SaveSnapshot/OpenFromSnapshot instead.
-  Status Save(const std::string& path) const;
-
-  /// Loads a database and commits it (rebuilding all indexes — the slow
-  /// cold start; see OpenFromSnapshot for the fast one).
-  static Result<std::unique_ptr<Dess3System>> LoadFrom(
-      const std::string& path, const SystemOptions& options = {});
-
   /// Persists the currently published snapshot as a versioned on-disk
   /// directory (record store, feature sets, similarity spaces,
   /// hierarchies, checksummed manifest — see persistence.h).
@@ -320,7 +309,7 @@ class Dess3System {
 
   SystemOptions options_;
 
-  /// Serializes writers: ingest, commit, save. Queries never take it.
+  /// Serializes writers: ingest and commit. Queries never take it.
   mutable std::mutex ingest_mu_;
   ShapeDatabase db_;            // guarded by ingest_mu_
   bool dirty_ = false;          // ingest since last publish; ingest_mu_

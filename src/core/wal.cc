@@ -3,11 +3,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
-#include <fstream>
 #include <utility>
 
+#include "src/common/byte_codec.h"
 #include "src/common/crc32c.h"
 #include "src/db/serialization.h"
 
@@ -20,132 +18,28 @@ constexpr uint32_t kWalEntryMagic = 0x52544E45;  // "ENTR"
 constexpr size_t kWalHeaderSize = 4 + 4 + 8 + 4;
 constexpr size_t kWalEntryHeaderSize = 4 + 1 + 8 + 4 + 4;
 
-std::vector<uint8_t> EncodeHeader(uint64_t base_sequence) {
+std::string EncodeHeader(uint64_t base_sequence) {
   ByteWriter w;
   w.WriteU32(kWalMagic);
   w.WriteU32(kWalFormatVersion);
   w.WriteU64(base_sequence);
   w.WriteU32(Crc32c(w.bytes().data(), w.bytes().size()));
-  return w.TakeBytes();
+  return w.Take();
 }
 
-Status WriteAll(int fd, const uint8_t* data, size_t n,
-                const std::string& path) {
-  while (n > 0) {
-    const ssize_t wrote = ::write(fd, data, n);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("WAL write failed: " + path);
-    }
-    data += wrote;
-    n -= static_cast<size_t>(wrote);
-  }
-  return Status::OK();
-}
-
-Status SyncFd(int fd, const std::string& path) {
-  if (::fsync(fd) != 0) return Status::IOError("WAL fsync failed: " + path);
-  return Status::OK();
-}
-
-/// Record payload: the records.bin and meshes.bin encodings of one record,
-/// fused (see persistence.cc WriteRecords/WriteMeshes).
-std::vector<uint8_t> EncodeRecordPayload(const ShapeRecord& rec) {
-  ByteWriter w;
-  w.WriteI32(rec.id);
-  w.WriteString(rec.name);
-  w.WriteI32(rec.group);
-  const uint32_t nf = static_cast<uint32_t>(rec.signature.NumSpaces());
-  w.WriteU32(nf);
-  for (uint32_t f = 0; f < nf; ++f) {
-    w.WriteU32(f);
-    w.WriteF64Vector(rec.signature.At(static_cast<int>(f)).values);
-  }
-  w.WriteU64(rec.mesh.NumVertices());
-  for (const Vec3& v : rec.mesh.vertices()) {
-    w.WriteF64(v.x);
-    w.WriteF64(v.y);
-    w.WriteF64(v.z);
-  }
-  w.WriteU64(rec.mesh.NumTriangles());
-  for (const auto& t : rec.mesh.triangles()) {
-    w.WriteU32(t[0]);
-    w.WriteU32(t[1]);
-    w.WriteU32(t[2]);
-  }
-  return w.TakeBytes();
-}
-
-/// Decodes and validates a record payload against the registry with the
-/// same checks LoadRecords/LoadMeshes apply to snapshot sections. The
-/// frame checksum already verified, so any failure here is real damage
-/// (or a writer bug), never a torn write: DataLoss.
-Status DecodeRecordPayload(const uint8_t* data, size_t len,
-                           const FeatureSpaceRegistry& registry,
-                           const std::string& path, ShapeRecord* rec) {
-  ByteReader r(data, len);
-  int32_t id = 0, group = 0;
-  uint32_t nf = 0;
-  const uint32_t num_spaces = static_cast<uint32_t>(registry.size());
-  if (!r.ReadI32(&id) || !r.ReadString(&rec->name) || !r.ReadI32(&group) ||
-      !r.ReadU32(&nf) || nf != num_spaces) {
-    return Status::DataLoss("bad WAL record entry: " + path);
-  }
-  rec->id = id;
-  rec->group = group;
-  for (uint32_t f = 0; f < nf; ++f) {
-    uint32_t ordinal = 0;
-    std::vector<double> values;
-    if (!r.ReadU32(&ordinal) || ordinal >= num_spaces ||
-        !r.ReadF64Vector(&values) ||
-        values.size() != static_cast<size_t>(registry.dim(ordinal))) {
-      return Status::DataLoss("bad feature vector in WAL record: " + path);
-    }
-    FeatureVector& fv = rec->signature.MutableAt(static_cast<int>(ordinal));
-    fv.kind = static_cast<FeatureKind>(ordinal);
-    fv.space = registry.id(ordinal);
-    fv.values = std::move(values);
-  }
-  uint64_t nv = 0;
-  if (!r.ReadU64(&nv)) return Status::DataLoss("bad WAL record mesh: " + path);
-  for (uint64_t v = 0; v < nv; ++v) {
-    double x, y, z;
-    if (!r.ReadF64(&x) || !r.ReadF64(&y) || !r.ReadF64(&z)) {
-      return Status::DataLoss("bad WAL record mesh vertex: " + path);
-    }
-    rec->mesh.AddVertex({x, y, z});
-  }
-  uint64_t nt = 0;
-  if (!r.ReadU64(&nt)) return Status::DataLoss("bad WAL record mesh: " + path);
-  for (uint64_t t = 0; t < nt; ++t) {
-    uint32_t a, b, c;
-    if (!r.ReadU32(&a) || !r.ReadU32(&b) || !r.ReadU32(&c) || a >= nv ||
-        b >= nv || c >= nv) {
-      return Status::DataLoss("bad WAL record mesh triangle: " + path);
-    }
-    rec->mesh.AddTriangle(a, b, c);
-  }
-  if (!r.AtEnd()) {
-    return Status::DataLoss("trailing bytes in WAL record entry: " + path);
-  }
-  return Status::OK();
-}
-
-std::vector<uint8_t> EncodeCommitPayload(
-    const WriteAheadLog::CommitMarker& marker) {
+std::string EncodeCommitPayload(const WriteAheadLog::CommitMarker& marker) {
   ByteWriter w;
   w.WriteU64(marker.epoch);
   w.WriteU8(marker.mode);
   w.WriteU64(marker.calibration_records);
   w.WriteU64(marker.base_records);
   w.WriteU64(marker.committed_records);
-  return w.TakeBytes();
+  return w.Take();
 }
 
-Status DecodeCommitPayload(const uint8_t* data, size_t len,
-                           const std::string& path,
+Status DecodeCommitPayload(std::string_view payload, const std::string& path,
                            WriteAheadLog::CommitMarker* marker) {
-  ByteReader r(data, len);
+  ByteReader r(payload);
   if (!r.ReadU64(&marker->epoch) || !r.ReadU8(&marker->mode) ||
       !r.ReadU64(&marker->calibration_records) ||
       !r.ReadU64(&marker->base_records) ||
@@ -161,25 +55,19 @@ Status DecodeCommitPayload(const uint8_t* data, size_t len,
 
 /// True when a structurally valid frame (magic, length bounds, checksum)
 /// starts at `offset`. Payload semantics are not checked.
-bool FrameValidAt(const std::vector<uint8_t>& bytes, size_t offset,
-                  uint8_t* type, uint64_t* seq, uint32_t* len) {
-  if (offset + kWalEntryHeaderSize > bytes.size()) return false;
-  uint32_t magic;
-  std::memcpy(&magic, &bytes[offset], 4);
-  if (magic != kWalEntryMagic) return false;
-  uint64_t s;
-  uint32_t l, stored;
-  std::memcpy(&s, &bytes[offset + 5], 8);
-  std::memcpy(&l, &bytes[offset + 13], 4);
-  std::memcpy(&stored, &bytes[offset + 17], 4);
-  if (l > bytes.size() - offset - kWalEntryHeaderSize) return false;
-  uint32_t crc = Crc32c(&bytes[offset + 4], 13);
-  crc = Crc32cExtend(crc, &bytes[offset + kWalEntryHeaderSize], l);
-  if (crc != stored) return false;
-  *type = bytes[offset + 4];
-  *seq = s;
-  *len = l;
-  return true;
+bool FrameValidAt(std::string_view bytes, size_t offset, uint8_t* type,
+                  uint64_t* seq, uint32_t* len) {
+  if (offset > bytes.size()) return false;
+  ByteReader r(bytes.substr(offset));
+  uint32_t magic = 0, stored = 0;
+  if (!r.ReadU32(&magic) || magic != kWalEntryMagic || !r.ReadU8(type) ||
+      !r.ReadU64(seq) || !r.ReadU32(len) || !r.ReadU32(&stored) ||
+      *len > r.Remaining()) {
+    return false;
+  }
+  uint32_t crc = Crc32c(bytes.data() + offset + 4, 13);
+  crc = Crc32cExtend(crc, bytes.data() + offset + kWalEntryHeaderSize, *len);
+  return crc == stored;
 }
 
 }  // namespace
@@ -192,21 +80,11 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     const std::string& path, const FeatureSpaceRegistry& registry,
     Replay* replay) {
   *replay = Replay();
-  std::vector<uint8_t> bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-      in.seekg(0, std::ios::end);
-      const auto size = in.tellg();
-      in.seekg(0, std::ios::beg);
-      if (size > 0) {
-        bytes.resize(static_cast<size_t>(size));
-        in.read(reinterpret_cast<char*>(bytes.data()),
-                static_cast<std::streamsize>(bytes.size()));
-        if (!in) return Status::IOError("cannot read WAL: " + path);
-      }
-    }
+  Result<std::string> read = ReadFileBytes(path);
+  if (!read.ok() && read.status().code() != StatusCode::kNotFound) {
+    return read.status();
   }
+  const std::string bytes = read.ok() ? std::move(read).value() : "";
 
   if (bytes.size() < kWalHeaderSize) {
     // Missing, empty, or torn before the header landed (the header is
@@ -216,9 +94,7 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     const int fd =
         ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
     if (fd < 0) return Status::IOError("cannot open WAL for write: " + path);
-    const std::vector<uint8_t> header = EncodeHeader(0);
-    Status st = WriteAll(fd, header.data(), header.size(), path);
-    if (st.ok()) st = SyncFd(fd, path);
+    const Status st = WriteAndSync(fd, EncodeHeader(0), /*sync=*/true, path);
     if (!st.ok()) {
       ::close(fd);
       return st;
@@ -226,12 +102,13 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     return std::unique_ptr<WriteAheadLog>(new WriteAheadLog(path, fd, 0));
   }
 
-  uint32_t magic, version, stored_crc;
-  uint64_t base_sequence;
-  std::memcpy(&magic, &bytes[0], 4);
-  std::memcpy(&version, &bytes[4], 4);
-  std::memcpy(&base_sequence, &bytes[8], 8);
-  std::memcpy(&stored_crc, &bytes[16], 4);
+  uint32_t magic = 0, version = 0, stored_crc = 0;
+  uint64_t base_sequence = 0;
+  ByteReader header(bytes);
+  header.ReadU32(&magic);
+  header.ReadU32(&version);
+  header.ReadU64(&base_sequence);
+  header.ReadU32(&stored_crc);
   if (magic != kWalMagic) {
     return Status::DataLoss("not a write-ahead log: " + path);
   }
@@ -257,18 +134,19 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     if (entry_seq != seq + 1) {
       return Status::DataLoss("WAL sequence discontinuity: " + path);
     }
-    const uint8_t* payload = bytes.data() + offset + kWalEntryHeaderSize;
+    const std::string_view payload(bytes.data() + offset + kWalEntryHeaderSize,
+                                   len);
     switch (static_cast<EntryType>(type)) {
       case EntryType::kRecord: {
         ShapeRecord rec;
-        DESS_RETURN_NOT_OK(
-            DecodeRecordPayload(payload, len, registry, path, &rec));
+        DESS_RETURN_NOT_OK(DecodeRecordPayload(
+            payload, registry, "WAL record entry of " + path, &rec));
         replay->records.push_back(std::move(rec));
         break;
       }
       case EntryType::kCommit: {
         CommitMarker marker;
-        DESS_RETURN_NOT_OK(DecodeCommitPayload(payload, len, path, &marker));
+        DESS_RETURN_NOT_OK(DecodeCommitPayload(payload, path, &marker));
         replay->has_marker = true;
         replay->marker = marker;
         break;
@@ -312,24 +190,23 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
   return std::unique_ptr<WriteAheadLog>(new WriteAheadLog(path, fd, seq));
 }
 
-Result<uint64_t> WriteAheadLog::AppendEntry(
-    EntryType type, const std::vector<uint8_t>& payload, bool sync) {
+Result<uint64_t> WriteAheadLog::AppendEntry(EntryType type,
+                                            std::string_view payload,
+                                            bool sync) {
   const uint64_t seq = sequence_ + 1;
-  ByteWriter body;
-  body.WriteU8(static_cast<uint8_t>(type));
-  body.WriteU64(seq);
-  body.WriteU32(static_cast<uint32_t>(payload.size()));
-  uint32_t crc = Crc32c(body.bytes().data(), body.bytes().size());
-  crc = Crc32cExtend(crc, payload.data(), payload.size());
   ByteWriter frame;
   frame.WriteU32(kWalEntryMagic);
-  frame.WriteBytes(body.bytes().data(), body.bytes().size());
+  frame.WriteU8(static_cast<uint8_t>(type));
+  frame.WriteU64(seq);
+  frame.WriteU32(static_cast<uint32_t>(payload.size()));
+  // The checksum covers the type, sequence and length fields (everything
+  // after the magic) and the payload.
+  uint32_t crc = Crc32c(frame.bytes().data() + 4, frame.bytes().size() - 4);
+  crc = Crc32cExtend(crc, payload.data(), payload.size());
   frame.WriteU32(crc);
   frame.WriteBytes(payload.data(), payload.size());
-  DESS_RETURN_NOT_OK(
-      WriteAll(fd_, frame.bytes().data(), frame.bytes().size(), path_));
+  DESS_RETURN_NOT_OK(WriteAndSync(fd_, frame.bytes(), sync, path_));
   sequence_ = seq;
-  if (sync) DESS_RETURN_NOT_OK(SyncFd(fd_, path_));
   return seq;
 }
 
@@ -343,7 +220,9 @@ Result<uint64_t> WriteAheadLog::AppendCommit(const CommitMarker& marker) {
                      /*sync=*/true);
 }
 
-Status WriteAheadLog::Sync() { return SyncFd(fd_, path_); }
+Status WriteAheadLog::Sync() {
+  return WriteAndSync(fd_, {}, /*sync=*/true, path_);
+}
 
 Status WriteAheadLog::Reset() {
   if (::ftruncate(fd_, 0) != 0) {
@@ -355,9 +234,7 @@ Status WriteAheadLog::Reset() {
   if (::lseek(fd_, 0, SEEK_SET) < 0) {
     return Status::IOError("cannot rewind WAL: " + path_);
   }
-  const std::vector<uint8_t> header = EncodeHeader(sequence_);
-  DESS_RETURN_NOT_OK(WriteAll(fd_, header.data(), header.size(), path_));
-  return SyncFd(fd_, path_);
+  return WriteAndSync(fd_, EncodeHeader(sequence_), /*sync=*/true, path_);
 }
 
 }  // namespace dess

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/result.h"
@@ -20,8 +21,9 @@ namespace dess {
 /// "open last snapshot, replay the WAL tail, republish up to the last
 /// marker".
 ///
-/// File layout (all little-endian, same primitive encodings as the
-/// snapshot sections in persistence.cc):
+/// File layout (host byte order, written with the ByteWriter that encodes
+/// every persisted byte; a record entry's payload is the record codec's
+/// record-with-mesh layout, src/db/serialization.h):
 ///
 ///   header   [u32 magic][u32 version][u64 base_sequence][u32 crc32c]
 ///   entry*   [u32 entry magic][u8 type][u64 sequence][u32 payload len]
@@ -86,9 +88,10 @@ class WriteAheadLog {
 
   /// Opens (creating if missing) the log at `path`, validating every frame
   /// and replaying surviving entries into *replay. Record payloads are
-  /// validated against `registry` exactly like snapshot records (feature
-  /// count, ordinals, dims), so a replayed record is as trustworthy as a
-  /// loaded one. See the class comment for the failure taxonomy.
+  /// decoded by the same codec as snapshot records, against `registry`
+  /// (feature count, ordinals, dims), so a replayed record is as
+  /// trustworthy as a loaded one. See the class comment for the failure
+  /// taxonomy.
   static Result<std::unique_ptr<WriteAheadLog>> Open(
       const std::string& path, const FeatureSpaceRegistry& registry,
       Replay* replay);
@@ -122,8 +125,7 @@ class WriteAheadLog {
   WriteAheadLog(std::string path, int fd, uint64_t sequence)
       : path_(std::move(path)), fd_(fd), sequence_(sequence) {}
 
-  Result<uint64_t> AppendEntry(EntryType type,
-                               const std::vector<uint8_t>& payload,
+  Result<uint64_t> AppendEntry(EntryType type, std::string_view payload,
                                bool sync);
 
   std::string path_;

@@ -1,166 +1,202 @@
 #include "src/db/serialization.h"
 
-#include <cstring>
+#include <utility>
 
-#include "src/common/crc32c.h"
+#include "src/common/byte_codec.h"
 
 namespace dess {
+namespace {
 
-BinaryWriter::BinaryWriter(const std::string& path)
-    : out_(path, std::ios::binary), path_(path) {}
+/// The smallest encodings the count prefixes are checked against: a
+/// catalog with an empty name and no vectors, an id with an empty mesh,
+/// one vertex, one triangle.
+constexpr size_t kMinCatalogBytes = 4 + 8 + 4 + 4;
+constexpr size_t kMinMeshEntryBytes = 4 + 8 + 8;
+constexpr size_t kVertexBytes = 3 * sizeof(double);
+constexpr size_t kTriangleBytes = 3 * sizeof(uint32_t);
 
-void BinaryWriter::Append(const void* data, size_t n) {
-  out_.write(static_cast<const char*>(data),
-             static_cast<std::streamsize>(n));
-  crc_ = Crc32cExtend(crc_, data, n);
+/// Encoded sizes of a catalog and of a mesh entry (id plus mesh).
+size_t CatalogBytes(const ShapeRecord& rec) {
+  size_t n = kMinCatalogBytes + rec.name.size();
+  for (const FeatureVector& fv : rec.signature.features) {
+    n += 4 + 8 + fv.values.size() * sizeof(double);
+  }
+  return n;
 }
 
-void BinaryWriter::WriteU32(uint32_t v) { Append(&v, sizeof(v)); }
-void BinaryWriter::WriteU64(uint64_t v) { Append(&v, sizeof(v)); }
-void BinaryWriter::WriteI32(int32_t v) { Append(&v, sizeof(v)); }
-void BinaryWriter::WriteF64(double v) { Append(&v, sizeof(v)); }
-void BinaryWriter::WriteString(const std::string& s) {
-  WriteU64(s.size());
-  Append(s.data(), s.size());
-}
-void BinaryWriter::WriteF64Vector(const std::vector<double>& v) {
-  WriteU64(v.size());
-  Append(v.data(), v.size() * sizeof(double));
-}
-void BinaryWriter::WriteI32Vector(const std::vector<int>& v) {
-  WriteU64(v.size());
-  for (int x : v) WriteI32(x);
+size_t MeshEntryBytes(const TriMesh& mesh) {
+  return kMinMeshEntryBytes + mesh.NumVertices() * kVertexBytes +
+         mesh.NumTriangles() * kTriangleBytes;
 }
 
-Status BinaryWriter::Finish() {
-  out_.flush();
-  if (!out_) return Status::IOError("write failed: " + path_);
+void EncodeCatalog(const ShapeRecord& rec, ByteWriter* w) {
+  w->WriteI32(rec.id);
+  w->WriteString(rec.name);
+  w->WriteI32(rec.group);
+  const int nf = rec.signature.NumSpaces();
+  w->WriteU32(static_cast<uint32_t>(nf));
+  for (int f = 0; f < nf; ++f) {
+    w->WriteU32(static_cast<uint32_t>(f));
+    w->WriteF64Vector(rec.signature.At(f).values);
+  }
+}
+
+Status DecodeCatalog(ByteReader* r, const FeatureSpaceRegistry& registry,
+                     const std::string& source, ShapeRecord* rec) {
+  int32_t id = 0, group = 0;
+  uint32_t nf = 0;
+  const uint32_t num_spaces = static_cast<uint32_t>(registry.size());
+  if (!r->ReadI32(&id) || !r->ReadString(&rec->name) ||
+      !r->ReadI32(&group) || !r->ReadU32(&nf) || nf != num_spaces) {
+    return Status::DataLoss("bad record catalog in " + source);
+  }
+  rec->id = id;
+  rec->group = group;
+  for (uint32_t f = 0; f < nf; ++f) {
+    uint32_t ordinal = 0;
+    std::vector<double> values;
+    if (!r->ReadU32(&ordinal) || ordinal >= num_spaces ||
+        !r->ReadF64Vector(&values) ||
+        values.size() != static_cast<size_t>(registry.dim(ordinal))) {
+      return Status::DataLoss("bad feature vector in " + source);
+    }
+    FeatureVector& fv = rec->signature.MutableAt(static_cast<int>(ordinal));
+    fv.kind = static_cast<FeatureKind>(ordinal);
+    fv.space = registry.id(ordinal);
+    fv.values = std::move(values);
+  }
   return Status::OK();
 }
 
-BinaryReader::BinaryReader(const std::string& path)
-    : in_(path, std::ios::binary), path_(path) {
-  if (in_) {
-    in_.seekg(0, std::ios::end);
-    file_size_ = static_cast<uint64_t>(in_.tellg());
-    in_.seekg(0, std::ios::beg);
+void EncodeMesh(const TriMesh& mesh, ByteWriter* w) {
+  w->WriteU64(mesh.NumVertices());
+  for (const Vec3& v : mesh.vertices()) {
+    w->WriteF64(v.x);
+    w->WriteF64(v.y);
+    w->WriteF64(v.z);
+  }
+  w->WriteU64(mesh.NumTriangles());
+  for (const auto& t : mesh.triangles()) {
+    w->WriteU32(t[0]);
+    w->WriteU32(t[1]);
+    w->WriteU32(t[2]);
   }
 }
 
-uint64_t BinaryReader::RemainingBytes() {
-  if (!in_) return 0;
-  const auto pos = in_.tellg();
-  if (pos < 0) return 0;
-  return file_size_ - static_cast<uint64_t>(pos);
-}
-
-bool BinaryReader::ReadU32(uint32_t* v) {
-  in_.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in_);
-}
-bool BinaryReader::ReadU64(uint64_t* v) {
-  in_.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in_);
-}
-bool BinaryReader::ReadI32(int32_t* v) {
-  in_.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in_);
-}
-bool BinaryReader::ReadF64(double* v) {
-  in_.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in_);
-}
-bool BinaryReader::ReadString(std::string* s) {
-  uint64_t n = 0;
-  // A declared length longer than the rest of the file is corruption;
-  // rejecting it here also prevents attacker/bitrot-controlled giant
-  // allocations.
-  if (!ReadU64(&n) || n > RemainingBytes()) return false;
-  s->resize(n);
-  in_.read(s->data(), static_cast<std::streamsize>(n));
-  return static_cast<bool>(in_);
-}
-bool BinaryReader::ReadF64Vector(std::vector<double>* v) {
-  uint64_t n = 0;
-  if (!ReadU64(&n) || n > RemainingBytes() / sizeof(double)) return false;
-  v->resize(n);
-  in_.read(reinterpret_cast<char*>(v->data()),
-           static_cast<std::streamsize>(n * sizeof(double)));
-  return static_cast<bool>(in_);
-}
-bool BinaryReader::ReadI32Vector(std::vector<int>* v) {
-  uint64_t n = 0;
-  if (!ReadU64(&n) || n > RemainingBytes() / sizeof(int32_t)) return false;
-  v->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    int32_t x = 0;
-    if (!ReadI32(&x)) return false;
-    (*v)[i] = x;
+Status DecodeMesh(ByteReader* r, const std::string& source, TriMesh* mesh) {
+  // The counts fit in the bytes left, so the fixed-width reads below
+  // cannot run short.
+  uint64_t nv = 0;
+  if (!r->ReadCount(kVertexBytes, &nv)) {
+    return Status::DataLoss("bad mesh vertex count in " + source);
   }
-  return static_cast<bool>(in_);
-}
-
-Status BinaryReader::Finish() const {
-  if (!in_) return Status::Corruption("read failed or truncated: " + path_);
+  for (uint64_t v = 0; v < nv; ++v) {
+    double x = 0, y = 0, z = 0;
+    r->ReadF64(&x);
+    r->ReadF64(&y);
+    r->ReadF64(&z);
+    mesh->AddVertex({x, y, z});
+  }
+  uint64_t nt = 0;
+  if (!r->ReadCount(kTriangleBytes, &nt)) {
+    return Status::DataLoss("bad mesh triangle count in " + source);
+  }
+  for (uint64_t t = 0; t < nt; ++t) {
+    uint32_t a = 0, b = 0, c = 0;
+    r->ReadU32(&a);
+    r->ReadU32(&b);
+    r->ReadU32(&c);
+    if (a >= nv || b >= nv || c >= nv) {
+      return Status::DataLoss("mesh triangle index out of range in " +
+                              source);
+    }
+    mesh->AddTriangle(a, b, c);
+  }
   return Status::OK();
 }
 
-void ByteWriter::Append(const void* data, size_t n) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  bytes_.insert(bytes_.end(), p, p + n);
+Status ExpectEnd(const ByteReader& r, const std::string& source) {
+  if (!r.AtEnd()) return Status::DataLoss("trailing bytes in " + source);
+  return Status::OK();
 }
 
-bool ByteReader::Extract(void* out, size_t n) {
-  if (!ok_ || n > Remaining()) {
-    ok_ = false;
-    return false;
-  }
-  std::memcpy(out, data_ + pos_, n);
-  pos_ += n;
-  return true;
+}  // namespace
+
+// The section encoders size their buffer first: a section can run to
+// megabytes, and one allocation of the final size is returned to the
+// system when freed, where a chain of doublings can stay resident.
+std::string EncodeRecordsSection(const ShapeDatabase& db) {
+  size_t size = 8;
+  for (const ShapeRecord& rec : db.records()) size += CatalogBytes(rec);
+  ByteWriter w;
+  w.Reserve(size);
+  w.WriteU64(db.NumShapes());
+  for (const ShapeRecord& rec : db.records()) EncodeCatalog(rec, &w);
+  return w.Take();
 }
 
-bool ByteReader::ReadString(std::string* s) {
-  uint64_t n = 0;
-  if (!ReadU64(&n) || n > Remaining()) {
-    ok_ = false;
-    return false;
+Result<std::vector<ShapeRecord>> DecodeRecordsSection(
+    std::string_view bytes, const FeatureSpaceRegistry& registry,
+    const std::string& source) {
+  ByteReader r(bytes);
+  uint64_t count = 0;
+  if (!r.ReadCount(kMinCatalogBytes, &count)) {
+    return Status::DataLoss("bad record count in " + source);
   }
-  s->assign(reinterpret_cast<const char*>(data_ + pos_),
-            static_cast<size_t>(n));
-  pos_ += static_cast<size_t>(n);
-  return true;
+  std::vector<ShapeRecord> records;
+  for (uint64_t i = 0; i < count; ++i) {
+    ShapeRecord rec;
+    DESS_RETURN_NOT_OK(DecodeCatalog(&r, registry, source, &rec));
+    records.push_back(std::move(rec));
+  }
+  DESS_RETURN_NOT_OK(ExpectEnd(r, source));
+  return records;
 }
 
-bool ByteReader::ReadF64Vector(std::vector<double>* v) {
-  uint64_t n = 0;
-  if (!ReadU64(&n) || n > Remaining() / sizeof(double)) {
-    ok_ = false;
-    return false;
+std::string EncodeMeshesSection(const ShapeDatabase& db) {
+  size_t size = 8;
+  for (const ShapeRecord& rec : db.records()) size += MeshEntryBytes(rec.mesh);
+  ByteWriter w;
+  w.Reserve(size);
+  w.WriteU64(db.NumShapes());
+  for (const ShapeRecord& rec : db.records()) {
+    w.WriteI32(rec.id);
+    EncodeMesh(rec.mesh, &w);
   }
-  v->resize(static_cast<size_t>(n));
-  std::memcpy(v->data(), data_ + pos_,
-              static_cast<size_t>(n) * sizeof(double));
-  pos_ += static_cast<size_t>(n) * sizeof(double);
-  return true;
+  return w.Take();
 }
 
-Result<std::pair<uint64_t, uint32_t>> FileSizeAndCrc32c(
-    const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  char buf[64 * 1024];
-  uint64_t size = 0;
-  uint32_t crc = 0;
-  while (in) {
-    in.read(buf, sizeof(buf));
-    const std::streamsize got = in.gcount();
-    if (got <= 0) break;
-    crc = Crc32cExtend(crc, buf, static_cast<size_t>(got));
-    size += static_cast<uint64_t>(got);
+Status DecodeMeshesSection(std::string_view bytes, const std::string& source,
+                           std::vector<ShapeRecord>* records) {
+  ByteReader r(bytes);
+  uint64_t count = 0;
+  if (!r.ReadCount(kMinMeshEntryBytes, &count) || count != records->size()) {
+    return Status::DataLoss("bad mesh count in " + source);
   }
-  if (in.bad()) return Status::IOError("read failed: " + path);
-  return std::make_pair(size, crc);
+  for (ShapeRecord& rec : *records) {
+    int32_t id = 0;
+    if (!r.ReadI32(&id) || id != rec.id) {
+      return Status::DataLoss("meshes out of step with records in " + source);
+    }
+    DESS_RETURN_NOT_OK(DecodeMesh(&r, source, &rec.mesh));
+  }
+  return ExpectEnd(r, source);
+}
+
+std::string EncodeRecordPayload(const ShapeRecord& record) {
+  ByteWriter w;
+  EncodeCatalog(record, &w);
+  EncodeMesh(record.mesh, &w);
+  return w.Take();
+}
+
+Status DecodeRecordPayload(std::string_view bytes,
+                           const FeatureSpaceRegistry& registry,
+                           const std::string& source, ShapeRecord* record) {
+  ByteReader r(bytes);
+  DESS_RETURN_NOT_OK(DecodeCatalog(&r, registry, source, record));
+  DESS_RETURN_NOT_OK(DecodeMesh(&r, source, &record->mesh));
+  return ExpectEnd(r, source);
 }
 
 }  // namespace dess

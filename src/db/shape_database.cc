@@ -4,20 +4,8 @@
 #include <set>
 
 #include "src/common/strings.h"
-#include "src/db/serialization.h"
 
 namespace dess {
-namespace {
-
-constexpr uint32_t kMagic = 0x33445353;  // "SSD3"
-// v1: exactly the four canonical features per record, tagged by enum value.
-// v2: any number of feature spaces per record, each tagged by its space id.
-// Save picks v1 whenever the content is expressible in it (all-canonical
-// signatures), so pre-registry databases stay byte-identical.
-constexpr uint32_t kVersionCanonical = 1;
-constexpr uint32_t kVersionSpaces = 2;
-
-}  // namespace
 
 int ShapeDatabase::Insert(ShapeRecord record) {
   record.id = next_id_++;
@@ -117,133 +105,6 @@ FeatureStats ShapeDatabase::ComputeFeatureStats(int ordinal) const {
     vectors.push_back(r->signature.At(ordinal).values);
   }
   return FeatureStats::Compute(vectors);
-}
-
-Status ShapeDatabase::Save(const std::string& path) const {
-  // All-canonical content is written in the v1 layout so pre-registry
-  // databases stay byte-identical; any extra feature space upgrades the
-  // file to v2 (space-id-tagged features).
-  bool canonical = true;
-  for (const RecordPtr& rp : records_) {
-    if (rp->signature.NumSpaces() != kNumFeatureKinds) {
-      canonical = false;
-      break;
-    }
-  }
-  const uint32_t version = canonical ? kVersionCanonical : kVersionSpaces;
-  BinaryWriter w(path);
-  if (!w.ok()) return Status::IOError("cannot open for write: " + path);
-  w.WriteU32(kMagic);
-  w.WriteU32(version);
-  w.WriteU64(records_.size());
-  for (const RecordPtr& rp : records_) {
-    const ShapeRecord& r = *rp;
-    w.WriteI32(r.id);
-    w.WriteString(r.name);
-    w.WriteI32(r.group);
-    // Geometry.
-    w.WriteU64(r.mesh.NumVertices());
-    for (const Vec3& v : r.mesh.vertices()) {
-      w.WriteF64(v.x);
-      w.WriteF64(v.y);
-      w.WriteF64(v.z);
-    }
-    w.WriteU64(r.mesh.NumTriangles());
-    for (const auto& t : r.mesh.triangles()) {
-      w.WriteU32(t[0]);
-      w.WriteU32(t[1]);
-      w.WriteU32(t[2]);
-    }
-    // Features.
-    w.WriteU32(static_cast<uint32_t>(r.signature.NumSpaces()));
-    for (const FeatureVector& fv : r.signature.features) {
-      if (version == kVersionCanonical) {
-        w.WriteU32(static_cast<uint32_t>(fv.kind));
-      } else {
-        w.WriteString(fv.space);
-      }
-      w.WriteF64Vector(fv.values);
-    }
-  }
-  return w.Finish();
-}
-
-Result<ShapeDatabase> ShapeDatabase::Load(const std::string& path) {
-  BinaryReader r(path);
-  if (!r.ok()) return Status::IOError("cannot open for read: " + path);
-  uint32_t magic = 0, version = 0;
-  if (!r.ReadU32(&magic) || magic != kMagic) {
-    return Status::Corruption("bad magic in " + path);
-  }
-  if (!r.ReadU32(&version) ||
-      (version != kVersionCanonical && version != kVersionSpaces)) {
-    return Status::Corruption("unsupported version in " + path);
-  }
-  uint64_t count = 0;
-  if (!r.ReadU64(&count)) return Status::Corruption("truncated: " + path);
-
-  ShapeDatabase db;
-  for (uint64_t s = 0; s < count; ++s) {
-    ShapeRecord rec;
-    int32_t id = 0, group = 0;
-    if (!r.ReadI32(&id) || !r.ReadString(&rec.name) || !r.ReadI32(&group)) {
-      return Status::Corruption("truncated record in " + path);
-    }
-    rec.id = id;
-    rec.group = group;
-    uint64_t nv = 0;
-    if (!r.ReadU64(&nv)) return Status::Corruption("truncated: " + path);
-    for (uint64_t i = 0; i < nv; ++i) {
-      double x, y, z;
-      if (!r.ReadF64(&x) || !r.ReadF64(&y) || !r.ReadF64(&z)) {
-        return Status::Corruption("truncated vertex in " + path);
-      }
-      rec.mesh.AddVertex({x, y, z});
-    }
-    uint64_t nt = 0;
-    if (!r.ReadU64(&nt)) return Status::Corruption("truncated: " + path);
-    for (uint64_t i = 0; i < nt; ++i) {
-      uint32_t a, b, c;
-      if (!r.ReadU32(&a) || !r.ReadU32(&b) || !r.ReadU32(&c)) {
-        return Status::Corruption("truncated triangle in " + path);
-      }
-      if (a >= nv || b >= nv || c >= nv) {
-        return Status::Corruption("triangle index out of range in " + path);
-      }
-      rec.mesh.AddTriangle(a, b, c);
-    }
-    uint32_t nf = 0;
-    if (!r.ReadU32(&nf) ||
-        (version == kVersionCanonical && nf != kNumFeatureKinds) ||
-        (version == kVersionSpaces && nf < kNumFeatureKinds)) {
-      return Status::Corruption("bad feature count in " + path);
-    }
-    for (uint32_t f = 0; f < nf; ++f) {
-      std::vector<double> values;
-      uint32_t ordinal = f;
-      std::string space;
-      if (version == kVersionCanonical) {
-        if (!r.ReadU32(&ordinal) || ordinal >= kNumFeatureKinds) {
-          return Status::Corruption("bad feature vector in " + path);
-        }
-        space = FeatureKindName(static_cast<FeatureKind>(ordinal));
-      } else {
-        if (!r.ReadString(&space) || space.empty()) {
-          return Status::Corruption("bad feature space id in " + path);
-        }
-      }
-      if (!r.ReadF64Vector(&values)) {
-        return Status::Corruption("bad feature vector in " + path);
-      }
-      FeatureVector& fv = rec.signature.MutableAt(static_cast<int>(ordinal));
-      fv.kind = static_cast<FeatureKind>(ordinal);
-      fv.space = std::move(space);
-      fv.values = std::move(values);
-    }
-    DESS_RETURN_NOT_OK(db.InsertWithId(std::move(rec)));
-  }
-  DESS_RETURN_NOT_OK(r.Finish());
-  return db;
 }
 
 }  // namespace dess

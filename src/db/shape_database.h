@@ -27,8 +27,9 @@ inline constexpr int kUngrouped = -1;
 
 /// The DATABASE layer of the paper's three-tier architecture (the paper
 /// used Oracle 8i as a feature/geometry store; this is an in-memory record
-/// store with binary file persistence). Multidimensional indexes are built
-/// *on top of* this store by the search engine, exactly as in the paper.
+/// store, persisted as the record sections of a snapshot — see
+/// src/db/serialization.h). Multidimensional indexes are built *on top of*
+/// this store by the search engine, exactly as in the paper.
 ///
 /// Records are immutable once inserted and held by shared_ptr, so:
 ///  - record pointers returned by Get() stay valid across later Inserts
@@ -157,12 +158,6 @@ class ShapeDatabase {
   /// used to standardize the similarity metric.
   FeatureStats ComputeFeatureStats(FeatureKind kind) const;
   FeatureStats ComputeFeatureStats(int ordinal) const;
-
-  /// Persists the full database (geometry + features + catalog).
-  Status Save(const std::string& path) const;
-
-  /// Loads a database previously written by Save.
-  static Result<ShapeDatabase> Load(const std::string& path);
 
  private:
   std::vector<RecordPtr> records_;

@@ -4,10 +4,10 @@
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
 #include <queue>
 
+#include "src/common/byte_codec.h"
 #include "src/common/metrics.h"
 #include "src/common/strings.h"
 #include "src/common/thread_pool.h"
@@ -25,48 +25,6 @@ uint64_t SplitMix64(uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
 }
-
-void PutU32(std::string* out, uint32_t v) {
-  char b[4] = {static_cast<char>(v & 0xff), static_cast<char>((v >> 8) & 0xff),
-               static_cast<char>((v >> 16) & 0xff),
-               static_cast<char>((v >> 24) & 0xff)};
-  out->append(b, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v & 0xffffffffull));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-/// Bounds-checked little-endian cursor over the serialized graph.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool ReadU32(uint32_t* v) {
-    if (pos_ + 4 > bytes_.size()) return false;
-    const unsigned char* p =
-        reinterpret_cast<const unsigned char*>(bytes_.data()) + pos_;
-    *v = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-    pos_ += 4;
-    return true;
-  }
-
-  bool ReadU64(uint64_t* v) {
-    uint32_t lo = 0, hi = 0;
-    if (!ReadU32(&lo) || !ReadU32(&hi)) return false;
-    *v = static_cast<uint64_t>(lo) | (static_cast<uint64_t>(hi) << 32);
-    return true;
-  }
-
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
- private:
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
 
 /// Flushes one query's work counters into the index's bound metric family
 /// and merges them into the caller's accumulator, if any.
@@ -464,23 +422,23 @@ std::vector<Neighbor> HnswIndex::RangeQuery(const std::vector<double>& query,
 }
 
 std::string HnswIndex::SerializeGraph() const {
-  std::string out;
-  PutU32(&out, kGraphMagic);
-  PutU32(&out, kGraphVersion);
-  PutU64(&out, block_.size());
-  PutU32(&out, static_cast<uint32_t>(dim_));
-  PutU32(&out, static_cast<uint32_t>(params_.M));
-  PutU64(&out, params_.seed);
-  PutU32(&out, static_cast<uint32_t>(entry_));
-  PutU32(&out, static_cast<uint32_t>(max_level_));
+  ByteWriter w;
+  w.WriteU32(kGraphMagic);
+  w.WriteU32(kGraphVersion);
+  w.WriteU64(block_.size());
+  w.WriteU32(static_cast<uint32_t>(dim_));
+  w.WriteU32(static_cast<uint32_t>(params_.M));
+  w.WriteU64(params_.seed);
+  w.WriteU32(static_cast<uint32_t>(entry_));
+  w.WriteU32(static_cast<uint32_t>(max_level_));
   for (size_t r = 0; r < block_.size(); ++r) {
-    PutU32(&out, static_cast<uint32_t>(levels_[r]));
+    w.WriteU32(static_cast<uint32_t>(levels_[r]));
     for (const std::vector<int>& layer : links_[r]) {
-      PutU32(&out, static_cast<uint32_t>(layer.size()));
-      for (int nb : layer) PutU32(&out, static_cast<uint32_t>(nb));
+      w.WriteU32(static_cast<uint32_t>(layer.size()));
+      for (int nb : layer) w.WriteU32(static_cast<uint32_t>(nb));
     }
   }
-  return out;
+  return w.Take();
 }
 
 Result<std::unique_ptr<HnswIndex>> HnswIndex::Deserialize(

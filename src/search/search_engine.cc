@@ -62,26 +62,17 @@ Status SearchEngine::PackSignatureBlocks() {
   return Status::OK();
 }
 
-Result<std::unique_ptr<SearchEngine>> SearchEngine::Build(
-    std::shared_ptr<const ShapeDatabase> db,
-    const SearchEngineOptions& options) {
-  if (db == nullptr || db->IsEmpty()) {
-    return Status::InvalidArgument("search engine: empty database");
-  }
-  std::unique_ptr<SearchEngine> engine(new SearchEngine());
-  engine->db_ = std::move(db);
-  engine->options_ = options;
-  engine->registry_ = RegistryOrCanonical(options.registry);
-  const FeatureSpaceRegistry& registry = *engine->registry_;
-  engine->spaces_.resize(registry.size());
-  const ShapeDatabase& store = *engine->db_;
-
-  for (int ordinal = 0; ordinal < registry.size(); ++ordinal) {
-    const FeatureSpaceDef& def = registry.space(ordinal);
+Result<std::vector<SimilaritySpace>> SearchEngine::CalibrateSpaces(
+    const ShapeDatabase& db, const SearchEngineOptions& options) {
+  const std::shared_ptr<const FeatureSpaceRegistry> registry =
+      RegistryOrCanonical(options.registry);
+  std::vector<SimilaritySpace> spaces(registry->size());
+  for (int ordinal = 0; ordinal < registry->size(); ++ordinal) {
+    const FeatureSpaceDef& def = registry->space(ordinal);
     const int dim = def.dim;
     std::vector<std::vector<double>> raw;
-    raw.reserve(store.NumShapes());
-    for (const ShapeRecord& rec : store.records()) {
+    raw.reserve(db.NumShapes());
+    for (const ShapeRecord& rec : db.records()) {
       if (ordinal >= rec.signature.NumSpaces()) {
         return Status::InvalidArgument(StrFormat(
             "shape %d carries no vector for feature space '%s'", rec.id,
@@ -97,19 +88,25 @@ Result<std::unique_ptr<SearchEngine>> SearchEngine::Build(
     }
     // A space opts out of standardization (histograms) via its definition;
     // the engine-wide flag still disables it globally.
-    engine->spaces_[ordinal] =
+    spaces[ordinal] =
         BuildSimilaritySpace(def.id, static_cast<FeatureKind>(ordinal), raw,
                              options.standardize && def.standardize);
     if (!def.default_weights.empty()) {
-      engine->spaces_[ordinal].weights = def.default_weights;
+      spaces[ordinal].weights = def.default_weights;
     }
   }
+  return spaces;
+}
 
-  // Standardize each space's vectors once into its packed block; the
-  // indexes load from the blocks rather than re-standardizing.
-  DESS_RETURN_NOT_OK(engine->PackSignatureBlocks());
-  DESS_RETURN_NOT_OK(engine->BuildIndexes());
-  return engine;
+Result<std::unique_ptr<SearchEngine>> SearchEngine::Build(
+    std::shared_ptr<const ShapeDatabase> db,
+    const SearchEngineOptions& options) {
+  if (db == nullptr || db->IsEmpty()) {
+    return Status::InvalidArgument("search engine: empty database");
+  }
+  DESS_ASSIGN_OR_RETURN(std::vector<SimilaritySpace> spaces,
+                        CalibrateSpaces(*db, options));
+  return Rebuild(std::move(db), options, std::move(spaces));
 }
 
 Result<std::unique_ptr<MultiDimIndex>> SearchEngine::MakeIndex(

@@ -106,11 +106,19 @@ struct PersistedIndex {
 /// QueryRequest::weights instead.
 class SearchEngine {
  public:
-  /// Builds similarity spaces and indexes from the database contents. The
-  /// engine keeps the view alive for its own lifetime.
+  /// Builds similarity spaces and indexes from the database contents:
+  /// CalibrateSpaces, then Rebuild. The engine keeps the view alive for
+  /// its own lifetime.
   static Result<std::unique_ptr<SearchEngine>> Build(
       std::shared_ptr<const ShapeDatabase> db,
       const SearchEngineOptions& options = {});
+
+  /// Calibrates one similarity space per registered feature space (stats,
+  /// default weights, d_max) over the records of `db`: the spaces Build
+  /// would serve. InvalidArgument when a record lacks a vector of a
+  /// registered space's dimension.
+  static Result<std::vector<SimilaritySpace>> CalibrateSpaces(
+      const ShapeDatabase& db, const SearchEngineOptions& options = {});
 
   /// Like Build, but reuses previously calibrated similarity spaces
   /// instead of recalibrating over `db` — the frozen-calibration path

@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <unistd.h>
-
+#include "src/common/byte_codec.h"
 #include "src/db/shape_database.h"
-#include "src/db/serialization.h"
 
 namespace dess {
 namespace {
@@ -26,17 +23,7 @@ ShapeRecord MakeRecord(const std::string& name, int group) {
   return r;
 }
 
-class DbTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("dess_db_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::string Path(const std::string& n) { return (dir_ / n).string(); }
-  std::filesystem::path dir_;
-};
+class DbTest : public ::testing::Test {};
 
 TEST_F(DbTest, InsertAssignsSequentialIds) {
   ShapeDatabase db;
@@ -93,71 +80,29 @@ TEST_F(DbTest, ComputeFeatureStats) {
   EXPECT_DOUBLE_EQ(z[0], 1.0);
 }
 
-TEST_F(DbTest, SaveLoadRoundTrip) {
-  ShapeDatabase db;
-  db.Insert(MakeRecord("alpha", 0));
-  db.Insert(MakeRecord("beta", 1));
-  db.Insert(MakeRecord("noise", kUngrouped));
-  ASSERT_TRUE(db.Save(Path("db.bin")).ok());
-
-  auto loaded = ShapeDatabase::Load(Path("db.bin"));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->NumShapes(), 3u);
-  auto rec = loaded->Get(1);
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ((*rec)->name, "beta");
-  EXPECT_EQ((*rec)->group, 1);
-  EXPECT_EQ((*rec)->mesh.NumTriangles(), 1u);
-  auto f = loaded->Feature(1, FeatureKind::kSpectral);
-  ASSERT_TRUE(f.ok());
-  EXPECT_DOUBLE_EQ((*f)[0], 1.5);
-  // Ids continue after the loaded max.
-  EXPECT_EQ(loaded->Insert(MakeRecord("new", 2)), 3);
-}
-
-TEST_F(DbTest, LoadRejectsMissingFile) {
-  EXPECT_EQ(ShapeDatabase::Load(Path("absent.bin")).status().code(),
-            StatusCode::kIOError);
-}
-
-TEST_F(DbTest, LoadRejectsBadMagic) {
-  {
-    std::ofstream out(Path("junk.bin"), std::ios::binary);
-    out << "this is not a dess database";
-  }
-  EXPECT_EQ(ShapeDatabase::Load(Path("junk.bin")).status().code(),
-            StatusCode::kCorruption);
-}
-
-TEST_F(DbTest, LoadRejectsTruncatedFile) {
-  ShapeDatabase db;
-  db.Insert(MakeRecord("a", 0));
-  ASSERT_TRUE(db.Save(Path("full.bin")).ok());
-  // Truncate to half.
-  const auto size = std::filesystem::file_size(Path("full.bin"));
-  std::filesystem::resize_file(Path("full.bin"), size / 2);
-  EXPECT_EQ(ShapeDatabase::Load(Path("full.bin")).status().code(),
-            StatusCode::kCorruption);
-}
-
 TEST_F(DbTest, BinaryWriterReaderPrimitives) {
-  {
-    BinaryWriter w(Path("prim.bin"));
-    ASSERT_TRUE(w.ok());
-    w.WriteU32(0xDEADBEEF);
-    w.WriteI32(-42);
-    w.WriteF64(3.25);
-    w.WriteString("hello");
-    w.WriteF64Vector({1.0, 2.0});
-    ASSERT_TRUE(w.Finish().ok());
-  }
-  BinaryReader r(Path("prim.bin"));
-  ASSERT_TRUE(r.ok());
-  uint32_t u;
-  int32_t i;
-  double d;
+  ByteWriter w;
+  w.WriteU8(7);
+  w.WriteU32(0xDEADBEEF);
+  w.WriteI32(-42);
+  w.WriteF64(3.25);
+  w.WriteString("hello");
+  w.WriteF64Vector({1.0, 2.0});
+  w.WriteI32Vector({-1, 5});
+  const std::string bytes = w.Take();
+  // Strings and vectors carry a u64 count, then their entries.
+  EXPECT_EQ(bytes.size(), 1u + 4 + 4 + 8 + (8 + 5) + (8 + 16) + (8 + 8));
+
+  ByteReader r(bytes);
+  uint8_t b = 0;
+  uint32_t u = 0;
+  int32_t i = 0;
+  double d = 0;
   std::string s;
   std::vector<double> v;
+  std::vector<int> ints;
+  EXPECT_TRUE(r.ReadU8(&b));
+  EXPECT_EQ(b, 7);
   EXPECT_TRUE(r.ReadU32(&u));
   EXPECT_EQ(u, 0xDEADBEEF);
   EXPECT_TRUE(r.ReadI32(&i));
@@ -169,8 +114,22 @@ TEST_F(DbTest, BinaryWriterReaderPrimitives) {
   EXPECT_TRUE(r.ReadF64Vector(&v));
   ASSERT_EQ(v.size(), 2u);
   EXPECT_EQ(v[1], 2.0);
-  // Reading past EOF fails cleanly.
+  EXPECT_TRUE(r.ReadI32Vector(&ints));
+  EXPECT_EQ(ints, (std::vector<int>{-1, 5}));
+  EXPECT_TRUE(r.AtEnd());
+  // Reading past the end fails cleanly, and the reader stays failed.
   EXPECT_FALSE(r.ReadU32(&u));
+  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(r.AtEnd());
+
+  // A count prefix larger than the bytes left fails before any entry is
+  // read or allocated.
+  ByteWriter giant;
+  giant.WriteU64(uint64_t{1} << 60);
+  giant.WriteF64(1.0);
+  ByteReader short_reader(giant.bytes());
+  EXPECT_FALSE(short_reader.ReadF64Vector(&v));
+  EXPECT_FALSE(short_reader.ok());
 }
 
 }  // namespace

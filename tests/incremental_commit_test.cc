@@ -135,6 +135,20 @@ class IncrementalCommitTest : public ::testing::Test {
     }
   }
 
+  /// Waits for a background compaction to fold the side-index away and
+  /// returns the republished snapshot; null if it never lands.
+  static std::shared_ptr<const SystemSnapshot> WaitForFold(
+      const Dess3System& system) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (std::chrono::steady_clock::now() < deadline) {
+      auto current = system.CurrentSnapshot();
+      if (current.ok() && (*current)->NumDeltaRecords() == 0) return *current;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return nullptr;
+  }
+
   ShapeDatabase all_;
 };
 
@@ -261,18 +275,7 @@ TEST_F(IncrementalCommitTest,
 
   // The fold runs on the ingest pool; wait for the republish (same epoch,
   // side-index gone).
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  std::shared_ptr<const SystemSnapshot> compacted;
-  while (std::chrono::steady_clock::now() < deadline) {
-    auto current = system.CurrentSnapshot();
-    ASSERT_TRUE(current.ok());
-    if ((*current)->NumDeltaRecords() == 0) {
-      compacted = *current;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  const std::shared_ptr<const SystemSnapshot> compacted = WaitForFold(system);
   ASSERT_NE(compacted, nullptr) << "compaction never folded the side-index";
   EXPECT_EQ(compacted->epoch(), (*layered)->epoch());
   EXPECT_EQ(system.PublishedEpoch(), delta->epoch);
@@ -414,6 +417,55 @@ TEST_F(DurableHomeTest, UncommittedIngestsReplayAsPending) {
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   EXPECT_EQ(next->delta_records, 2u);
   EXPECT_EQ((*reopened)->PendingRecords(), 0u);
+}
+
+TEST_F(DurableHomeTest, FoldAfterReopenKeepsTheCheckpointCalibration) {
+  // A frozen-calibration checkpoint (16 records, spaces calibrated over
+  // the first 12) is reopened; a delta commit is folded past it and a
+  // later delta commit is recovered. Recovery rebuilds the folded base,
+  // and must do so under the checkpoint's calibration, not one taken over
+  // the checkpoint's 16 records.
+  SystemOptions options = FastSystemOptions();
+  options.compaction_min_delta_records = 1;
+  options.compaction_delta_ratio = 0.0;
+  {
+    auto system = Dess3System::Open(dir_, {}, options);
+    ASSERT_TRUE(system.ok()) << system.status().ToString();
+    IngestRange(system->get(), 0, 12);
+    ASSERT_TRUE((*system)->Commit().ok());
+    IngestRange(system->get(), 12, 16);
+    ASSERT_TRUE((*system)->Commit(CommitOptions{.recalibrate = false}).ok());
+  }
+  std::vector<Result<QueryResponse>> before;
+  uint64_t epoch = 0;
+  {
+    auto system = Dess3System::Open(dir_, {}, options);
+    ASSERT_TRUE(system.ok()) << system.status().ToString();
+    IngestRange(system->get(), 16, 20);
+    ASSERT_TRUE(
+        (*system)->Commit(CommitOptions{.mode = CommitMode::kDelta}).ok());
+    ASSERT_NE(WaitForFold(**system), nullptr);
+    IngestRange(system->get(), 20, 24);
+    auto delta = (*system)->Commit(CommitOptions{.mode = CommitMode::kDelta});
+    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+    epoch = delta->epoch;
+    for (FeatureKind kind : AllFeatureKinds()) {
+      before.push_back(
+          (*system)->QueryByShapeId(0, QueryRequest::TopK(kind, 8)));
+    }
+  }
+
+  auto reopened = Dess3System::Open(dir_, {}, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->PublishedEpoch(), epoch);
+  EXPECT_EQ((*reopened)->PendingRecords(), 0u);
+  size_t i = 0;
+  for (FeatureKind kind : AllFeatureKinds()) {
+    ExpectSameResponses(
+        before[i++],
+        (*reopened)->QueryByShapeId(0, QueryRequest::TopK(kind, 8)),
+        "recovered topk " + std::string(FeatureKindName(kind)));
+  }
 }
 
 TEST_F(DurableHomeTest, FreshHomeStartsEmpty) {

@@ -208,6 +208,50 @@ TEST_F(PersistenceTest, IngestAndCommitContinueFromTheSavedEpoch) {
   EXPECT_EQ(next->epoch, epoch_ + 1);
 }
 
+TEST_F(PersistenceTest, ReopenRestoresNamesGroupsMeshesAndTheNextId) {
+  // The record store comes back whole: names, groups (ungrouped noise
+  // included), geometry, and the id the next ingest is assigned.
+  ShapeRecord meshed;
+  meshed.name = "tetrahedron";
+  meshed.group = kUngrouped;
+  meshed.mesh.AddVertex({0, 0, 0});
+  meshed.mesh.AddVertex({1.5, 0, 0});
+  meshed.mesh.AddVertex({0, 2.5, 0});
+  meshed.mesh.AddVertex({0, 0, -3.5});
+  meshed.mesh.AddTriangle(0, 2, 1);
+  meshed.mesh.AddTriangle(0, 1, 3);
+  meshed.mesh.AddTriangle(0, 3, 2);
+  meshed.mesh.AddTriangle(1, 2, 3);
+  meshed.signature = (*system_.db().Get(0))->signature;
+  ASSERT_TRUE(system_.Ingest(meshed, {}).ok());
+  ASSERT_TRUE(system_.Commit().ok());
+  ASSERT_TRUE(system_.SaveSnapshot(SnapDir("catalog")).ok());
+
+  auto reopened = Dess3System::OpenFromSnapshot(SnapDir("catalog"));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const ShapeDatabase& db = (*reopened)->db();
+  ASSERT_EQ(db.NumShapes(), system_.db().NumShapes());
+  for (const ShapeRecord& rec : system_.db().records()) {
+    auto restored = db.Get(rec.id);
+    ASSERT_TRUE(restored.ok()) << "id " << rec.id;
+    EXPECT_EQ((*restored)->name, rec.name);
+    EXPECT_EQ((*restored)->group, rec.group);
+    const TriMesh& mesh = (*restored)->mesh;
+    ASSERT_EQ(mesh.NumVertices(), rec.mesh.NumVertices()) << "id " << rec.id;
+    for (size_t v = 0; v < mesh.NumVertices(); ++v) {
+      EXPECT_EQ(mesh.vertices()[v].x, rec.mesh.vertices()[v].x);
+      EXPECT_EQ(mesh.vertices()[v].y, rec.mesh.vertices()[v].y);
+      EXPECT_EQ(mesh.vertices()[v].z, rec.mesh.vertices()[v].z);
+    }
+    EXPECT_EQ(mesh.triangles(), rec.mesh.triangles()) << "id " << rec.id;
+  }
+  const int last = static_cast<int>(db.NumShapes()) - 1;
+  EXPECT_EQ((*db.Get(last))->mesh.NumTriangles(), 4u);
+  auto next = (*reopened)->Ingest(meshed, {});
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(*next, last + 1);
+}
+
 TEST_F(PersistenceTest, MeshlessSnapshotStillServesEveryQueryPath) {
   SaveOptions save;
   save.include_meshes = false;

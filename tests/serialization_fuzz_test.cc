@@ -1,8 +1,9 @@
-// Corruption-injection tests: a persisted database (and, below, a full
-// snapshot directory) is truncated and bit-flipped at many offsets; every
-// load attempt must either succeed (a flip may land in a don't-care byte or
-// produce an equally valid file) or fail with a clean error — never crash,
-// hang, or publish a partially-loaded system.
+// Corruption-injection tests. The record codec (src/db/serialization.h)
+// is fed truncated, bit-flipped, padded and giant-count inputs; every
+// decode must either succeed (a flip may land in a value byte) or fail
+// with DataLoss — never crash, hang or allocate for a count the input
+// cannot hold. Below, a full snapshot directory is damaged the same ways
+// and OpenFromSnapshot must keep the pinned taxonomy.
 
 #include <gtest/gtest.h>
 
@@ -15,102 +16,141 @@
 #include "src/common/rng.h"
 #include "src/core/persistence.h"
 #include "src/core/system.h"
+#include "src/db/serialization.h"
 #include "src/db/shape_database.h"
 #include "tests/test_util.h"
 
 namespace dess {
 namespace {
 
+/// Encoded records for the codec cases: a synthetic feature database whose
+/// records also carry a small mesh, as records.bin, meshes.bin and one
+/// write-ahead-log record payload.
 class SerializationFuzzTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("dess_fuzz_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-    db_ = testing_util::BuildSyntheticFeatureDb(3, 3, 2);
-    // Give the records some mesh payload too.
-    path_ = (dir_ / "base.bin").string();
-    ASSERT_TRUE(db_.Save(path_).ok());
-    std::ifstream in(path_, std::ios::binary);
-    bytes_.assign(std::istreambuf_iterator<char>(in),
-                  std::istreambuf_iterator<char>());
-    ASSERT_GT(bytes_.size(), 100u);
+    const ShapeDatabase synthetic =
+        testing_util::BuildSyntheticFeatureDb(3, 3, 2);
+    for (const ShapeRecord& rec : synthetic.records()) {
+      ShapeRecord copy = rec;
+      copy.mesh.AddVertex({0, 0, 0});
+      copy.mesh.AddVertex({1, 0, 0});
+      copy.mesh.AddVertex({0, 1, 0});
+      copy.mesh.AddVertex({0, 0, 1});
+      copy.mesh.AddTriangle(0, 2, 1);
+      copy.mesh.AddTriangle(0, 1, 3);
+      copy.mesh.AddTriangle(0, 3, 2);
+      copy.mesh.AddTriangle(1, 2, 3);
+      db_.Insert(std::move(copy));
+    }
+    records_ = EncodeRecordsSection(db_);
+    meshes_ = EncodeMeshesSection(db_);
+    payload_ = EncodeRecordPayload(**db_.Get(4));
+    ASSERT_GT(payload_.size(), 100u);
   }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  std::string WriteVariant(const std::vector<char>& data) {
-    const std::string p = (dir_ / "variant.bin").string();
-    std::ofstream out(p, std::ios::binary);
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-    return p;
+  /// Decodes `bytes` as the layout `layout` names (0 records.bin, 1
+  /// meshes.bin over the intact records, 2 record payload).
+  Status Decode(int layout, const std::string& bytes) const {
+    switch (layout) {
+      case 0:
+        return DecodeRecordsSection(bytes, *registry_, "records").status();
+      case 1: {
+        auto records = DecodeRecordsSection(records_, *registry_, "records");
+        if (!records.ok()) return records.status();
+        return DecodeMeshesSection(bytes, "meshes", &*records);
+      }
+      default: {
+        ShapeRecord rec;
+        return DecodeRecordPayload(bytes, *registry_, "payload", &rec);
+      }
+    }
   }
 
-  std::filesystem::path dir_;
+  const std::string& Encoded(int layout) const {
+    return layout == 0 ? records_ : layout == 1 ? meshes_ : payload_;
+  }
+
+  static constexpr int kLayouts = 3;
+  const std::shared_ptr<const FeatureSpaceRegistry> registry_ =
+      FeatureSpaceRegistry::Canonical();
   ShapeDatabase db_;
-  std::string path_;
-  std::vector<char> bytes_;
+  std::string records_, meshes_, payload_;
 };
 
 TEST_F(SerializationFuzzTest, TruncationAtEveryStrideFailsCleanly) {
-  for (size_t cut = 0; cut < bytes_.size(); cut += 41) {
-    std::vector<char> truncated(bytes_.begin(), bytes_.begin() + cut);
-    auto result = ShapeDatabase::Load(WriteVariant(truncated));
-    EXPECT_FALSE(result.ok()) << "cut at " << cut;
-    const StatusCode code = result.status().code();
-    EXPECT_TRUE(code == StatusCode::kCorruption ||
-                code == StatusCode::kIOError)
-        << "cut at " << cut << ": " << result.status().ToString();
+  for (int layout = 0; layout < kLayouts; ++layout) {
+    ASSERT_TRUE(Decode(layout, Encoded(layout)).ok()) << "layout " << layout;
+    // Every prefix of the record payload; every 7th of the sections.
+    const size_t stride = layout == 2 ? 1 : 7;
+    for (size_t cut = 0; cut < Encoded(layout).size(); cut += stride) {
+      const Status st = Decode(layout, Encoded(layout).substr(0, cut));
+      EXPECT_EQ(st.code(), StatusCode::kDataLoss)
+          << "layout " << layout << " cut at " << cut << ": " << st.ToString();
+    }
   }
 }
 
 TEST_F(SerializationFuzzTest, BitFlipsNeverCrash) {
   Rng rng(2024);
-  int clean_failures = 0, surprising_successes = 0;
-  for (int trial = 0; trial < 300; ++trial) {
-    std::vector<char> flipped = bytes_;
-    const size_t pos = rng.NextBounded(flipped.size());
-    flipped[pos] ^= static_cast<char>(1 << rng.NextBounded(8));
-    auto result = ShapeDatabase::Load(WriteVariant(flipped));
-    if (result.ok()) {
-      // A flip inside a double payload yields a valid (different) DB.
-      ++surprising_successes;
-      EXPECT_EQ(result->NumShapes(), db_.NumShapes());
-    } else {
-      ++clean_failures;
-      const StatusCode code = result.status().code();
-      EXPECT_TRUE(code == StatusCode::kCorruption ||
-                  code == StatusCode::kIOError)
-          << result.status().ToString();
+  int failures = 0, successes = 0;
+  for (int layout = 0; layout < kLayouts; ++layout) {
+    for (int trial = 0; trial < 300; ++trial) {
+      std::string flipped = Encoded(layout);
+      flipped[rng.NextBounded(flipped.size())] ^=
+          static_cast<char>(1 << rng.NextBounded(8));
+      const Status st = Decode(layout, flipped);
+      if (st.ok()) {
+        ++successes;  // a flip inside a value yields a valid encoding
+      } else {
+        ++failures;
+        EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.ToString();
+      }
     }
   }
-  // Both outcomes occur on real files; mostly successes since most bytes
-  // are geometry payload.
-  EXPECT_GT(clean_failures + surprising_successes, 0);
+  // Both outcomes occur: most bytes are values, the rest are structure.
+  EXPECT_GT(failures, 0);
+  EXPECT_GT(successes, 0);
 }
 
 TEST_F(SerializationFuzzTest, GiantLengthPrefixRejectedWithoutAllocation) {
-  // Overwrite the record-count field (offset 8) with a huge value; the
-  // loader must fail on truncation, not attempt a 2^60-entry reserve.
-  std::vector<char> evil = bytes_;
+  // A 2^60 count must fail against the bytes left, not reserve 2^60
+  // entries. Offsets: the record count of records.bin; the name length
+  // and, in the mesh part, the vertex count of a record payload.
   const uint64_t huge = 1ull << 60;
-  std::memcpy(evil.data() + 8, &huge, sizeof(huge));
-  auto result = ShapeDatabase::Load(WriteVariant(evil));
-  EXPECT_FALSE(result.ok());
+  const ShapeRecord& rec = **db_.Get(4);
+  size_t catalog = 4 + 8 + rec.name.size() + 4 + 4;
+  for (const FeatureVector& fv : rec.signature.features) {
+    catalog += 4 + 8 + fv.values.size() * sizeof(double);
+  }
+  const std::pair<int, size_t> targets[] = {{0, 0}, {2, 4}, {2, catalog}};
+  for (const auto& [layout, offset] : targets) {
+    std::string evil = Encoded(layout);
+    ASSERT_LE(offset + sizeof(huge), evil.size());
+    std::memcpy(evil.data() + offset, &huge, sizeof(huge));
+    EXPECT_EQ(Decode(layout, evil).code(), StatusCode::kDataLoss)
+        << "layout " << layout << " offset " << offset;
+  }
 }
 
 TEST_F(SerializationFuzzTest, EmptyFileRejected) {
-  auto result = ShapeDatabase::Load(WriteVariant({}));
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+  for (int layout = 0; layout < kLayouts; ++layout) {
+    EXPECT_EQ(Decode(layout, "").code(), StatusCode::kDataLoss)
+        << "layout " << layout;
+  }
 }
 
-TEST_F(SerializationFuzzTest, AppendedGarbageIsHarmless) {
-  // Trailing bytes after a complete database are ignored by the reader
-  // (it reads exactly the declared records).
-  std::vector<char> padded = bytes_;
-  for (int i = 0; i < 64; ++i) padded.push_back(static_cast<char>(i));
-  auto result = ShapeDatabase::Load(WriteVariant(padded));
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->NumShapes(), db_.NumShapes());
+TEST_F(SerializationFuzzTest, AppendedBytesAreDataLoss) {
+  // A decoder consumes its input exactly: bytes past the last record are
+  // damage, not padding.
+  for (int layout = 0; layout < kLayouts; ++layout) {
+    for (const size_t extra : {1, 4, 64}) {
+      std::string padded = Encoded(layout);
+      for (size_t i = 0; i < extra; ++i) padded.push_back(static_cast<char>(i));
+      EXPECT_EQ(Decode(layout, padded).code(), StatusCode::kDataLoss)
+          << "layout " << layout << " +" << extra << " bytes";
+    }
+  }
 }
 
 /// Snapshot-directory corruption: a golden snapshot is copied per trial,
@@ -176,18 +216,45 @@ TEST_F(SnapshotFuzzTest, GoldenSnapshotReopensAndAnswersIdentically) {
 }
 
 TEST_F(SnapshotFuzzTest, TruncatedSectionsFailAsDataLoss) {
-  for (const char* file :
-       {kSnapshotRecordsFile, kSnapshotSpacesFile,
-        "hierarchy_eigenvalues.bin", "hierarchy_geometric_params.bin"}) {
-    const std::filesystem::path variant = MakeVariant();
-    std::vector<char> bytes = ReadFile(variant / file);
-    ASSERT_GT(bytes.size(), 8u) << file;
-    bytes.resize(bytes.size() / 2);
-    WriteFile(variant / file, bytes);
-    auto result = Dess3System::OpenFromSnapshot(variant.string());
-    ASSERT_FALSE(result.ok()) << file;
-    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
-        << file << ": " << result.status().ToString();
+  // With checksums off the size check is skipped too, so the decoders
+  // alone must catch the missing bytes.
+  for (const bool verify : {true, false}) {
+    for (const char* file :
+         {kSnapshotRecordsFile, kSnapshotSpacesFile, kSnapshotMeshesFile,
+          "hierarchy_eigenvalues.bin", "hierarchy_geometric_params.bin"}) {
+      const std::filesystem::path variant = MakeVariant();
+      std::vector<char> bytes = ReadFile(variant / file);
+      ASSERT_GT(bytes.size(), 8u) << file;
+      bytes.resize(bytes.size() / 2);
+      WriteFile(variant / file, bytes);
+      auto result = Dess3System::OpenFromSnapshot(
+          variant.string(), OpenOptions{.verify_checksums = verify});
+      ASSERT_FALSE(result.ok()) << file << " verify " << verify;
+      EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
+          << file << " verify " << verify << ": "
+          << result.status().ToString();
+    }
+  }
+}
+
+TEST_F(SnapshotFuzzTest, AppendedBytesFailAsDataLoss) {
+  // Bytes past a section's last field are damage in both modes: the size
+  // check catches them with checksums on, the decoders with checksums off.
+  for (const bool verify : {true, false}) {
+    for (const char* file :
+         {kSnapshotRecordsFile, kSnapshotSpacesFile, kSnapshotMeshesFile,
+          "hierarchy_moment_invariants.bin", "hierarchy_eigenvalues.bin"}) {
+      const std::filesystem::path variant = MakeVariant();
+      std::vector<char> bytes = ReadFile(variant / file);
+      for (int i = 0; i < 16; ++i) bytes.push_back(static_cast<char>(i));
+      WriteFile(variant / file, bytes);
+      auto result = Dess3System::OpenFromSnapshot(
+          variant.string(), OpenOptions{.verify_checksums = verify});
+      ASSERT_FALSE(result.ok()) << file << " verify " << verify;
+      EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
+          << file << " verify " << verify << ": "
+          << result.status().ToString();
+    }
   }
 }
 
@@ -213,6 +280,36 @@ TEST_F(SnapshotFuzzTest, BitFlippedSectionsFailAsDataLoss) {
           << file << ": " << result.status().ToString();
     }
   }
+}
+
+TEST_F(SnapshotFuzzTest, BitFlippedSectionsWithoutChecksumsFailCleanly) {
+  // With checksums off a flip reaches the decoders: each open either
+  // succeeds (the flip landed in a value) or is DataLoss — never another
+  // code, never a crash.
+  Rng rng(78);
+  const char* files[] = {kSnapshotRecordsFile, kSnapshotSpacesFile,
+                         kSnapshotMeshesFile,
+                         "hierarchy_moment_invariants.bin",
+                         "hierarchy_principal_moments.bin"};
+  int failures = 0;
+  for (const char* file : files) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const std::filesystem::path variant = MakeVariant();
+      std::vector<char> bytes = ReadFile(variant / file);
+      ASSERT_FALSE(bytes.empty()) << file;
+      bytes[rng.NextBounded(bytes.size())] ^=
+          static_cast<char>(1 << rng.NextBounded(8));
+      WriteFile(variant / file, bytes);
+      auto result = Dess3System::OpenFromSnapshot(
+          variant.string(), OpenOptions{.verify_checksums = false});
+      if (result.ok()) continue;
+      ++failures;
+      EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
+          << file << " trial " << trial << ": "
+          << result.status().ToString();
+    }
+  }
+  EXPECT_GT(failures, 0);
 }
 
 TEST_F(SnapshotFuzzTest, BitFlippedManifestFailsCleanly) {

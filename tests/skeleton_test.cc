@@ -62,8 +62,11 @@ TEST(ThinningTest, SkeletonIsSubsetOfSolid) {
   const VoxelGrid skel = ThinToSkeleton(solid);
   for (int k = 0; k < solid.nz(); ++k)
     for (int j = 0; j < solid.ny(); ++j)
-      for (int i = 0; i < solid.nx(); ++i)
-        if (skel.Get(i, j, k)) EXPECT_TRUE(solid.Get(i, j, k));
+      for (int i = 0; i < solid.nx(); ++i) {
+        if (skel.Get(i, j, k)) {
+          EXPECT_TRUE(solid.Get(i, j, k));
+        }
+      }
 }
 
 TEST(ThinningTest, WithoutEndpointPreservationBlockCollapsesToPoint) {

@@ -224,7 +224,7 @@ TEST(SystemTest, SaveLoadRoundTrip) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("dess_sys_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
-  const std::string path = (dir / "sys.bin").string();
+  const std::string path = (dir / "sys").string();
 
   Dess3System system(FastSystemOptions());
   ShapeDatabase synthetic = testing_util::BuildSyntheticFeatureDb(3, 3, 1);
@@ -232,9 +232,9 @@ TEST(SystemTest, SaveLoadRoundTrip) {
     ASSERT_TRUE(system.Ingest(rec, {}).ok());
   }
   ASSERT_TRUE(system.Commit().ok());
-  ASSERT_TRUE(system.Save(path).ok());
+  ASSERT_TRUE(system.SaveSnapshot(path).ok());
 
-  auto loaded = Dess3System::LoadFrom(path, FastSystemOptions());
+  auto loaded = Dess3System::OpenFromSnapshot(path, {}, FastSystemOptions());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->db().NumShapes(), system.db().NumShapes());
   EXPECT_TRUE((*loaded)->IsCommitted());

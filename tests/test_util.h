@@ -37,8 +37,14 @@ inline ShapeSignature ProbeAt(int ordinal, std::vector<double> raw) {
 /// index backend (e.g. "hnsw"), exactly as FeatureSpaceDef::index_backend
 /// would in production code.
 struct SyntheticExtraSpace {
+  SyntheticExtraSpace(std::string space_id, int space_dim = 4,
+                      std::string backend = {})
+      : id(std::move(space_id)),
+        dim(space_dim),
+        index_backend(std::move(backend)) {}
+
   std::string id;
-  int dim = 4;
+  int dim;
   std::string index_backend;
 };
 
