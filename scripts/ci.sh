@@ -4,10 +4,13 @@
 # the index backends (`ann`) and feature extraction (`extract`:
 # extractors_test runs extractors over partially built pipeline artifacts,
 # so one that reads a stage that never ran must fail loudly;
-# extract_parity_test checks the border-list thinning and the run-based
+# extract_parity_test checks the border-set thinning and the run-based
 # component labelling, whose unchecked flat-index reads must stay in
-# bounds, against their full-scan references); and the concurrent serving
-# layer under TSan (label `tsan`). Any failing step fails the script.
+# bounds, against their full-scan references; skeleton_test and
+# parallel_extraction_test run the padded thinning's 4-byte row loads on
+# hand-built grids, on pooled filter parts and on the voxelizer's z-slabs);
+# and the concurrent serving layer under TSan (label `tsan`). Any failing
+# step fails the script.
 #
 # Usage: scripts/ci.sh [--fast]
 #   --fast   tier-1 only (skip the sanitizer passes)

@@ -430,6 +430,8 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
       return Status::IOError("cannot finish the interrupted publish of '" +
                              dir + "': " + ec.message());
     }
+    DESS_RETURN_NOT_OK(SyncDirectory(
+        root.has_parent_path() ? root.parent_path().string() : "."));
   }
   if (!fs::exists(root, ec)) {
     return Status::NotFound("no snapshot directory at '" + dir + "'");

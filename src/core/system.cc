@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "src/common/byte_codec.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
 #include "src/common/strings.h"
@@ -437,11 +438,26 @@ Result<std::unique_ptr<Dess3System>> Dess3System::Open(
     const std::string& dir, const OpenOptions& open_options,
     const SystemOptions& options) {
   DESS_TIMED_SCOPE("system.open");
+  // Every directory this creates, the home and any missing ancestor, gets
+  // its entry synced in its parent, so nothing inside the home (the
+  // write-ahead log included) can vanish with it on a power loss.
+  namespace fs = std::filesystem;
   std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
+  fs::path home = fs::path(dir).lexically_normal();
+  if (!home.has_filename()) home = home.parent_path();
+  std::vector<fs::path> missing;
+  for (fs::path p = home; !p.empty() && !fs::exists(p, ec);
+       p = p.parent_path()) {
+    missing.push_back(p);
+  }
+  fs::create_directories(dir, ec);
   if (ec) {
     return Status::IOError("cannot create home directory '" + dir +
                            "': " + ec.message());
+  }
+  for (const fs::path& created : missing) {
+    DESS_RETURN_NOT_OK(SyncDirectory(
+        created.has_parent_path() ? created.parent_path().string() : "."));
   }
 
   // The checkpoint half: the snapshot the last full commit wrote, opened

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <filesystem>
 #include <utility>
 
 #include "src/common/byte_codec.h"
@@ -94,7 +95,14 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     const int fd =
         ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
     if (fd < 0) return Status::IOError("cannot open WAL for write: " + path);
-    const Status st = WriteAndSync(fd, EncodeHeader(0), /*sync=*/true, path);
+    Status st = WriteAndSync(fd, EncodeHeader(0), /*sync=*/true, path);
+    // The log's directory entry must be as durable as its header, or a
+    // power loss can take the log and every record fsynced into it.
+    if (st.ok()) {
+      const std::filesystem::path dir =
+          std::filesystem::path(path).parent_path();
+      st = SyncDirectory(dir.empty() ? "." : dir.string());
+    }
     if (!st.ok()) {
       ::close(fd);
       return st;

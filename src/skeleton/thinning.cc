@@ -1,11 +1,10 @@
 #include "src/skeleton/thinning.h"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "src/common/metrics.h"
@@ -94,35 +93,9 @@ inline bool SingleBackgroundComponent6(uint32_t nb) {
   return (seeds & ~first) == 0;
 }
 
-// Extracts the neighborhood of an interior voxel (all 26 neighbors in
-// bounds) at linear index `idx` as a bit mask: nine 3-byte row loads at flat
-// strides, no bounds checks.
-inline uint32_t InteriorMask(const uint8_t* raw, size_t idx, ptrdiff_t sy,
-                             ptrdiff_t sz) {
-  uint32_t mask = 0;
-  int n = 0;
-  for (int dz = -1; dz <= 1; ++dz) {
-    for (int dy = -1; dy <= 1; ++dy) {
-      const uint8_t* row =
-          raw + (static_cast<ptrdiff_t>(idx) - 1 + dy * sy + dz * sz);
-      if (row[0]) mask |= 1u << n;
-      if (row[1]) mask |= 1u << (n + 1);
-      if (row[2]) mask |= 1u << (n + 2);
-      n += 3;
-    }
-  }
-  return mask;
-}
-
 // Extracts the neighborhood of (i,j,k) as a bit mask; out-of-bounds cells
-// read as 0. Interior voxels take the strided fast path; only the O(N^2)
-// shell falls back to clamped reads.
+// read as 0.
 uint32_t NeighborhoodMask(const VoxelGrid& grid, int i, int j, int k) {
-  if (i >= 1 && i + 1 < grid.nx() && j >= 1 && j + 1 < grid.ny() && k >= 1 &&
-      k + 1 < grid.nz()) {
-    return InteriorMask(grid.raw().data(), grid.Index(i, j, k), grid.nx(),
-                        static_cast<ptrdiff_t>(grid.nx()) * grid.ny());
-  }
   uint32_t mask = 0;
   int n = 0;
   for (int dz = -1; dz <= 1; ++dz)
@@ -142,139 +115,189 @@ inline bool IsDeletable(uint32_t nb, bool preserve_endpoints) {
   return SingleObjectComponent26(nb) && SingleBackgroundComponent6(nb);
 }
 
+// Direct-mapped memo of IsDeletable for one ThinToSkeleton call, whose
+// endpoint setting is fixed. Thinning a model meets few distinct
+// neighborhoods, so most tests are hits. A slot keeps the whole 27-bit
+// mask with the answer in bit 31, so a hit returns exactly what the test
+// would; the empty value has bits 27-30 set, which no mask has.
+class DeletableMemo {
+ public:
+  explicit DeletableMemo(bool preserve_endpoints)
+      : preserve_endpoints_(preserve_endpoints), slots_(kSlots, kEmpty) {}
+
+  bool operator()(uint32_t nb) {
+    uint32_t& slot = slots_[(nb * 0x9E3779B1u) >> (32 - kSlotBits)];
+    if ((slot & ~kAnswerBit) == nb) return (slot & kAnswerBit) != 0;
+    const bool deletable = IsDeletable(nb, preserve_endpoints_);
+    slot = nb | (deletable ? kAnswerBit : 0);
+    return deletable;
+  }
+
+ private:
+  static constexpr int kSlotBits = 14;
+  static constexpr size_t kSlots = size_t{1} << kSlotBits;
+  static constexpr uint32_t kAnswerBit = 1u << 31;
+  static constexpr uint32_t kEmpty = ~0u;
+
+  bool preserve_endpoints_;
+  std::vector<uint32_t> slots_;
+};
+
+// Bit b (b < 3) says whether row[b] is set, from one 4-byte load of which
+// row[3] is ignored. Cells hold 0 or 1.
+inline uint32_t RowBits(const uint8_t* row) {
+  uint32_t v;
+  std::memcpy(&v, row, sizeof(v));
+  if constexpr (std::endian::native == std::endian::little) {
+    v &= 0x00010101u;
+    return (v | v >> 7 | v >> 14) & 7u;
+  } else {
+    v &= 0x01010100u;
+    return (v >> 24 | v >> 15 | v >> 6) & 7u;
+  }
+}
+
+// The neighborhood of the voxel at `cell` as a bit mask: nine row loads at
+// flat strides, no bounds checks. Every neighbor and the byte after the
+// last row must lie in the buffer.
+inline uint32_t InteriorMask(const uint8_t* cell, ptrdiff_t sy, ptrdiff_t sz) {
+  const uint8_t* c = cell - 1;
+  return RowBits(c - sz - sy) | RowBits(c - sz) << 3 |
+         RowBits(c - sz + sy) << 6 | RowBits(c - sy) << 9 | RowBits(c) << 12 |
+         RowBits(c + sy) << 15 | RowBits(c + sz - sy) << 18 |
+         RowBits(c + sz) << 21 | RowBits(c + sz + sy) << 24;
+}
+
 // Face-neighbor offsets (i, j, k), which are also the six subiteration
 // directions: Up, Down, North, South, East, West borders in the
 // Palagyi-Kuba order.
 constexpr int kFaceDirs[6][3] = {{0, 0, 1},  {0, 0, -1}, {0, 1, 0},
                                  {0, -1, 0}, {1, 0, 0},  {-1, 0, 0}};
 
-// Amortized cost of one border-list entry in a subiteration: the d-border
-// test for every entry plus the simple-point test for the d-border share.
-constexpr double kNsPerBorderVoxel = 25.0;
+// Amortized cost of one border voxel in a subiteration's filter: the
+// d-border test for every voxel plus the memoized simple-point test for
+// the d-border share.
+constexpr double kNsPerBorderVoxel = 10.0;
 
-// The border list of one ThinToSkeleton call: every object voxel with an
-// empty or out-of-bounds face neighbor. Only those can be d-border voxels,
-// and deletions never refill a voxel, so each subiteration filters the list
-// instead of scanning the grid.
+// The working state of one ThinToSkeleton call. The solid is copied as
+// 0/1 cells into a buffer padded by one empty voxel on every side, plus
+// one trailing byte for the last row load, so every input voxel is
+// interior and every read is unchecked.
 //
-// An entry is a voxel's linear index shifted left by one, with the low bit
-// set for voxels on the grid shell, the only ones that need bounds checks.
-// A grid's index stays below PTRDIFF_MAX, so the shift cannot overflow, and
-// entries order as their indices do: the full scan's (k, j, i) order.
-class BorderList {
+// The border set keeps one bit per padded voxel, set for every object
+// voxel with an empty face neighbor. Only those can be d-border voxels,
+// and deletions never refill a voxel, so each subiteration filters the set
+// instead of scanning the grid. Walking its words in order visits voxels
+// in index order, which is the full scan's (k, j, i) order.
+class Thinner {
  public:
-  explicit BorderList(VoxelGrid* grid)
-      : grid_(*grid),
-        raw_(grid->mutable_raw().data()),
-        sy_(grid->nx()),
-        sz_(static_cast<ptrdiff_t>(grid->nx()) * grid->ny()),
-        state_(grid->size(), 0) {
-    const int nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
-    for (int k = 0; k < nz; ++k) {
-      for (int j = 0; j < ny; ++j) {
-        const bool row_shell = j == 0 || j + 1 == ny || k == 0 || k + 1 == nz;
-        for (int i = 0; i < nx; ++i) {
-          const size_t idx = grid_.Index(i, j, k);
-          const bool shell = row_shell || i == 0 || i + 1 == nx;
-          if (shell) state_[idx] = kShell;
-          if (!raw_[idx]) continue;
-          if (!shell && raw_[idx - 1] && raw_[idx + 1] && raw_[idx - sy_] &&
-              raw_[idx + sy_] && raw_[idx - sz_] && raw_[idx + sz_]) {
-            continue;
+  explicit Thinner(const VoxelGrid& solid)
+      : nx_(solid.nx()),
+        ny_(solid.ny()),
+        nz_(solid.nz()),
+        sy_(nx_ + 2),
+        sz_(sy_ * (ny_ + 2)) {
+    const size_t padded = static_cast<size_t>(sz_) * (nz_ + 2);
+    cells_.assign(padded + 1, 0);
+    border_.assign((padded + 63) / 64, 0);
+    const uint8_t* in = solid.raw().data();
+    for (int k = 0; k < nz_; ++k) {
+      for (int j = 0; j < ny_; ++j) {
+        const uint8_t* src = in + solid.Index(0, j, k);
+        uint8_t* dst = cells_.data() + Cell(0, j, k);
+        for (int i = 0; i < nx_; ++i) dst[i] = src[i] != 0;
+      }
+    }
+    for (int k = 0; k < nz_; ++k) {
+      for (int j = 0; j < ny_; ++j) {
+        const size_t row = Cell(0, j, k);
+        for (size_t p = row; p < row + nx_; ++p) {
+          const uint8_t* c = cells_.data() + p;
+          if (*c && !(c[-1] && c[1] && c[-sy_] && c[sy_] && c[-sz_] &&
+                      c[sz_])) {
+            Mark(p);
           }
-          List(idx);
         }
       }
     }
   }
 
-  size_t size() const { return border_.size(); }
+  size_t border_count() const { return border_count_; }
+  size_t border_words() const { return border_.size(); }
 
-  // Appends the entries border[lo, hi) that are border in direction d,
-  // simple, and not protected endpoints. A pure read of the grid, so
-  // concurrent workers on disjoint ranges need no synchronization.
-  void Collect(const int d[3], size_t lo, size_t hi, bool preserve_endpoints,
-               std::vector<uint64_t>* out) const {
+  // Appends the voxels of border words [lo, hi) that are border in
+  // direction `d`, simple, and not protected endpoints. Reads only the
+  // cells and the set, so concurrent workers on disjoint word ranges, each
+  // with its own memo, need no synchronization.
+  void Collect(const int d[3], size_t lo, size_t hi, DeletableMemo* memo,
+               std::vector<size_t>* out) const {
     const ptrdiff_t d_stride = d[0] + d[1] * sy_ + d[2] * sz_;
-    for (size_t n = lo; n < hi; ++n) {
-      const uint64_t e = border_[n];
-      const size_t idx = e >> 1;
-      // Not a d-border voxel if the d-neighbor exists and is set.
-      if (e & 1) {
-        const auto [i, j, k] = Coords(idx);
-        if (grid_.GetClamped(i + d[0], j + d[1], k + d[2])) continue;
-      } else if (raw_[idx + d_stride]) {
-        continue;
+    for (size_t w = lo; w < hi; ++w) {
+      for (uint64_t bits = border_[w]; bits != 0; bits &= bits - 1) {
+        const size_t p = w * 64 + std::countr_zero(bits);
+        const uint8_t* c = cells_.data() + p;
+        // Not a d-border voxel if its d-neighbor is set.
+        if (c[d_stride]) continue;
+        if ((*memo)(InteriorMask(c, sy_, sz_))) out->push_back(p);
       }
-      if (IsDeletable(Mask(e), preserve_endpoints)) out->push_back(e);
     }
   }
 
-  // Re-checks the candidates in order against the mutating grid and deletes
-  // the voxels still deletable; returns how many it deleted. Deleted voxels
-  // leave the border list and their unlisted object face neighbors join it.
-  size_t Delete(const std::vector<uint64_t>& candidates,
-                bool preserve_endpoints) {
-    deleted_.clear();
-    for (const uint64_t e : candidates) {
-      if (!raw_[e >> 1]) continue;
-      if (!IsDeletable(Mask(e), preserve_endpoints)) continue;
-      raw_[e >> 1] = 0;
-      deleted_.push_back(e);
-    }
-    if (deleted_.empty()) return 0;
-    std::erase_if(border_, [&](uint64_t e) { return !raw_[e >> 1]; });
+  // Re-checks the candidates in order against the mutating cells and
+  // deletes the voxels still deletable; returns how many it deleted.
+  // Candidates are distinct, so each is still an object voxel here. A
+  // deleted voxel leaves the border set and its object face neighbors
+  // join it.
+  size_t Delete(const std::vector<size_t>& candidates, DeletableMemo* memo) {
     const ptrdiff_t faces[6] = {-sz_, -sy_, -1, 1, sy_, sz_};
-    for (const uint64_t e : deleted_) {
-      const size_t idx = e >> 1;
-      if (!(e & 1)) {
-        for (const ptrdiff_t f : faces) ListIfObject(idx + f);
-        continue;
+    size_t deleted = 0;
+    for (const size_t p : candidates) {
+      uint8_t* c = cells_.data() + p;
+      if (!(*memo)(InteriorMask(c, sy_, sz_))) continue;
+      *c = 0;
+      border_[p / 64] &= ~(uint64_t{1} << (p % 64));
+      --border_count_;
+      for (const ptrdiff_t f : faces) {
+        if (c[f]) Mark(p + f);
       }
-      const auto [i, j, k] = Coords(idx);
-      for (const auto& f : kFaceDirs) {
-        if (grid_.InBounds(i + f[0], j + f[1], k + f[2])) {
-          ListIfObject(grid_.Index(i + f[0], j + f[1], k + f[2]));
+      ++deleted;
+    }
+    return deleted;
+  }
+
+  // Clears every deleted voxel in `grid`, a copy of the solid.
+  void ClearDeleted(VoxelGrid* grid) const {
+    uint8_t* out = grid->mutable_raw().data();
+    for (int k = 0; k < nz_; ++k) {
+      for (int j = 0; j < ny_; ++j) {
+        const uint8_t* src = cells_.data() + Cell(0, j, k);
+        uint8_t* dst = out + grid->Index(0, j, k);
+        for (int i = 0; i < nx_; ++i) {
+          if (!src[i]) dst[i] = 0;
         }
       }
     }
-    return deleted_.size();
   }
 
  private:
-  static constexpr uint8_t kShell = 1;
-  static constexpr uint8_t kListed = 2;
-
-  void List(size_t idx) {
-    state_[idx] |= kListed;
-    border_.push_back(static_cast<uint64_t>(idx) << 1 |
-                      (state_[idx] & kShell));
+  // Padded index of input voxel (i, j, k).
+  size_t Cell(int i, int j, int k) const {
+    return static_cast<size_t>(k + 1) * sz_ + static_cast<size_t>(j + 1) * sy_ +
+           (i + 1);
   }
 
-  void ListIfObject(size_t idx) {
-    if (raw_[idx] && !(state_[idx] & kListed)) List(idx);
+  void Mark(size_t p) {
+    uint64_t& word = border_[p / 64];
+    const uint64_t bit = uint64_t{1} << (p % 64);
+    border_count_ += (word & bit) == 0;
+    word |= bit;
   }
 
-  std::array<int, 3> Coords(size_t idx) const {
-    const size_t row = idx / grid_.nx();
-    return {static_cast<int>(idx % grid_.nx()),
-            static_cast<int>(row % grid_.ny()),
-            static_cast<int>(row / grid_.ny())};
-  }
-
-  uint32_t Mask(uint64_t e) const {
-    if (!(e & 1)) return InteriorMask(raw_, e >> 1, sy_, sz_);
-    const auto [i, j, k] = Coords(e >> 1);
-    return NeighborhoodMask(grid_, i, j, k);
-  }
-
-  const VoxelGrid& grid_;
-  uint8_t* raw_;
+  const int nx_, ny_, nz_;
   const ptrdiff_t sy_, sz_;
-  // Per voxel: kShell if it lies on the grid shell, kListed once listed.
-  std::vector<uint8_t> state_;
+  std::vector<uint8_t> cells_;
   std::vector<uint64_t> border_;
-  std::vector<uint64_t> deleted_;
+  size_t border_count_ = 0;  // set bits in border_
 };
 
 }  // namespace
@@ -287,46 +310,53 @@ bool IsSimplePoint(const VoxelGrid& grid, int i, int j, int k) {
 VoxelGrid ThinToSkeleton(const VoxelGrid& solid,
                          const ThinningOptions& options) {
   DESS_TIMED_SCOPE("stage.thin");
-  VoxelGrid grid = solid;
-  BorderList border(&grid);
-  std::vector<std::vector<uint64_t>> part_candidates;
-  std::vector<uint64_t> candidates;
+  Thinner thinner(solid);
+  // One memo per filter part; the first also serves the serial recheck.
+  std::vector<DeletableMemo> memos;
+  memos.emplace_back(options.preserve_endpoints);
+  std::vector<std::vector<size_t>> part_candidates;
+  std::vector<size_t> candidates;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     size_t deleted_this_iter = 0;
     for (const auto& d : kFaceDirs) {
-      // Phase 1: filter the border list against the frozen grid, over
-      // contiguous parts in parallel when each worker's share clears the
-      // 2ms amortization floor of RecommendedWorkers.
+      // Phase 1: filter the border set against the frozen cells, over
+      // contiguous word ranges in parallel when each worker's share clears
+      // the 2ms amortization floor of RecommendedWorkers. The set holds
+      // every d-border voxel exactly once and the parts are concatenated in
+      // order, so the candidates are exactly those of a full-grid scan, in
+      // its order.
       candidates.clear();
-      const size_t n = border.size();
-      const int parts = RecommendedWorkers(
-          options.pool, kNsPerBorderVoxel * static_cast<double>(n), 2e6);
+      const size_t words = thinner.border_words();
+      const double cost_ns =
+          kNsPerBorderVoxel * static_cast<double>(thinner.border_count());
+      const int parts = RecommendedWorkers(options.pool, cost_ns, 2e6);
       if (parts <= 1) {
-        border.Collect(d, 0, n, options.preserve_endpoints, &candidates);
+        thinner.Collect(d, 0, words, &memos[0], &candidates);
       } else {
+        while (memos.size() < static_cast<size_t>(parts)) {
+          memos.emplace_back(options.preserve_endpoints);
+        }
         part_candidates.resize(parts);
         ParallelFor(options.pool, parts, [&](size_t p) {
           part_candidates[p].clear();
-          border.Collect(d, p * n / parts, (p + 1) * n / parts,
-                         options.preserve_endpoints, &part_candidates[p]);
+          thinner.Collect(d, p * words / parts, (p + 1) * words / parts,
+                          &memos[p], &part_candidates[p]);
         });
         for (int p = 0; p < parts; ++p) {
           candidates.insert(candidates.end(), part_candidates[p].begin(),
                             part_candidates[p].end());
         }
       }
-      // The list holds every d-border voxel exactly once, so in index order
-      // the candidates are exactly those of a full-grid scan.
-      std::sort(candidates.begin(), candidates.end());
       // Phase 2: delete sequentially, re-checking simplicity against the
-      // mutated grid so that parallel deletions cannot break topology (and
+      // mutated cells so that parallel deletions cannot break topology (and
       // so the skeleton is identical for every worker count).
-      deleted_this_iter +=
-          border.Delete(candidates, options.preserve_endpoints);
+      deleted_this_iter += thinner.Delete(candidates, &memos[0]);
     }
     if (deleted_this_iter == 0) break;
   }
-  return grid;
+  VoxelGrid skeleton = solid;
+  thinner.ClearDeleted(&skeleton);
+  return skeleton;
 }
 
 }  // namespace dess

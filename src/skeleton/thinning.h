@@ -17,12 +17,12 @@ struct ThinningOptions {
   /// never deleted, producing a curve skeleton suitable for skeletal-graph
   /// construction. If false, a connected blob thins to a single voxel.
   bool preserve_endpoints = true;
-  /// Optional worker pool: when the border list is long enough to pay for
+  /// Optional worker pool: when the border set is large enough to pay for
   /// the dispatch (see RecommendedWorkers), each directional subiteration
-  /// filters contiguous parts of it in parallel; the candidates are then
-  /// sorted and deleted in the serial recheck order, so the skeleton is
-  /// bit-identical to the sequential result. Null means serial.
-  /// Non-owning; the pool must outlive the call.
+  /// filters contiguous parts of it in parallel; the parts' candidates are
+  /// then joined in index order and deleted in the serial recheck order,
+  /// so the skeleton is bit-identical to the sequential result. Null means
+  /// serial. Non-owning; the pool must outlive the call.
   ThreadPool* pool = nullptr;
 };
 
@@ -32,7 +32,7 @@ struct ThinningOptions {
 /// 26-topology and background 6-topology, checked via the Bertrand-
 /// Malandain local characterization) and not protected endpoints.
 ///
-/// Each subiteration visits only a border list (the object voxels with an
+/// Each subiteration visits only a border set (the object voxels with an
 /// empty or out-of-bounds face neighbor), kept current as voxels are
 /// deleted, not the whole grid. The candidates are tested against
 /// the grid as it stood when the subiteration began, then re-checked and

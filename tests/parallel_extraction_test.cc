@@ -23,15 +23,24 @@ constexpr int kFamilies[] = {0, 4, 7};
 constexpr int kResolutions[] = {16, 32, 64};
 constexpr int kThreadCounts[] = {2, 8};
 
-Result<TriMesh> FamilyMesh(int family) {
+Result<TriMesh> FamilyMesh(int family, int mesh_resolution = 32) {
   Rng rng(1000 + family);
   return MeshSolid(*StandardPartFamilies()[family].build(&rng),
-                   {.resolution = 32});
+                   {.resolution = mesh_resolution});
 }
 
 TEST(ParallelExtractionTest, VoxelizeFillThinBitIdenticalAcrossThreadCounts) {
-  for (const int family : kFamilies) {
-    auto mesh = FamilyMesh(family);
+  // The voxelizer splits z-slabs only when its cost model (120 ns a
+  // triangle) gives each worker 2 ms, which no mesh at marching-cubes
+  // resolution 32 reaches. Family 0 meshed at 64 has 63,768 triangles:
+  // two slabs on a 2-thread pool and three on an 8-thread pool, on a host
+  // with four or more cores.
+  struct Case {
+    int family, mesh_resolution;
+  };
+  constexpr Case kCases[] = {{0, 32}, {4, 32}, {7, 32}, {0, 64}};
+  for (const auto [family, mesh_resolution] : kCases) {
+    auto mesh = FamilyMesh(family, mesh_resolution);
     ASSERT_TRUE(mesh.ok()) << mesh.status().ToString();
     for (const int resolution : kResolutions) {
       // Serial reference for each stage.
@@ -46,6 +55,7 @@ TEST(ParallelExtractionTest, VoxelizeFillThinBitIdenticalAcrossThreadCounts) {
 
       for (const int threads : kThreadCounts) {
         SCOPED_TRACE("family=" + std::to_string(family) +
+                     " mesh_res=" + std::to_string(mesh_resolution) +
                      " res=" + std::to_string(resolution) +
                      " threads=" + std::to_string(threads));
         ThreadPool pool(threads);
@@ -69,11 +79,11 @@ TEST(ParallelExtractionTest, VoxelizeFillThinBitIdenticalAcrossThreadCounts) {
     }
   }
 
-  // Thinning fans out only when its border list clears the amortization
-  // floor of RecommendedWorkers, which none of the grids above does. A
-  // 450x450x2 plate lists all of its 405k voxels, enough for the split
-  // collection on any host with two idle cores; two iterations run it
-  // through a dozen subiterations.
+  // Thinning fans out only when its border set clears the amortization
+  // floor of RecommendedWorkers, which none of the grids above does. All
+  // 405k voxels of a 450x450x2 plate are border voxels, enough for a
+  // two-part filter in the first subiteration on any host with two idle
+  // cores; two iterations run it through a dozen subiterations.
   VoxelGrid plate(452, 452, 4, {0, 0, 0}, 1.0);
   for (int k = 1; k <= 2; ++k)
     for (int j = 1; j <= 450; ++j)
