@@ -123,14 +123,14 @@ void BM_Voxelize(benchmark::State& state) {
     benchmark::DoNotOptimize(VoxelizeMesh(SampleNormalized().mesh, opt));
   }
 }
-// Explicit MinTime: the threads series exists to compare configurations
-// against each other, so it needs a tighter noise floor than the smoke
-// run's global --benchmark_min_time would give it.
+// The threads series compares configurations against each other, so a
+// timing run needs a tighter noise floor than the smoke's: pass it with
+// --benchmark_min_time (e.g. 0.5). No series sets its own MinTime, which
+// would override the smoke run's budget too.
 BENCHMARK(BM_Voxelize)
     ->ArgNames({"res", "threads"})
     ->Args({64, 1})
-    ->Args({64, 8})
-    ->MinTime(0.5);
+    ->Args({64, 8});
 
 void BM_Thinning(benchmark::State& state) {
   const VoxelGrid& grid = SampleVoxels(static_cast<int>(state.range(0)));
@@ -146,8 +146,7 @@ BENCHMARK(BM_Thinning)
     ->Args({32, 1})
     ->Args({32, 8})
     ->Args({64, 1})
-    ->Args({64, 8})
-    ->MinTime(0.5);
+    ->Args({64, 8});
 
 // Largest-component selection between voxelization and thinning: one
 // 26-connected labelling pass over the grid, a count, and a rewrite.
@@ -157,7 +156,7 @@ void BM_LargestComponent(benchmark::State& state) {
     benchmark::DoNotOptimize(KeepLargestComponent(grid));
   }
 }
-BENCHMARK(BM_LargestComponent)->ArgName("res")->Arg(32)->Arg(64)->MinTime(0.5);
+BENCHMARK(BM_LargestComponent)->ArgName("res")->Arg(32)->Arg(64);
 
 void BM_GraphAndSpectrum(benchmark::State& state) {
   const VoxelGrid skeleton = ThinToSkeleton(SampleVoxels(32));

@@ -9,8 +9,9 @@
 # bounds, against their full-scan references; skeleton_test and
 # parallel_extraction_test run the padded thinning's 4-byte row loads on
 # hand-built grids, on pooled filter parts and on the voxelizer's z-slabs);
-# and the concurrent serving layer under TSan (label `tsan`). Any failing
-# step fails the script.
+# and under TSan (label `tsan`) the concurrent serving layer and background
+# compaction folding beside the writers (incremental_commit_test, which
+# also carries `incr`). Any failing step fails the script.
 #
 # Usage: scripts/ci.sh [--fast]
 #   --fast   tier-1 only (skip the sanitizer passes)

@@ -27,14 +27,16 @@ Dess3System::Dess3System(const SystemOptions& options) : options_(options) {
 }
 
 Dess3System::~Dess3System() {
-  // Drain the ingest pool outside the writer lock: a queued background
-  // compaction task takes ingest_mu_ when it publishes.
-  std::unique_ptr<ThreadPool> pool;
+  // Join the compaction thread outside the writer lock: a fold in flight
+  // takes ingest_mu_ to publish. `closing_` keeps it from scheduling
+  // another and turns a queued one into a no-op.
+  std::unique_ptr<ThreadPool> compactor;
   {
     std::lock_guard<std::mutex> lock(ingest_mu_);
-    pool = std::move(ingest_pool_);
+    closing_ = true;
+    compactor = std::move(compactor_);
   }
-  pool.reset();  // joins workers after running whatever is queued
+  compactor.reset();
 }
 
 ThreadPool* Dess3System::EnsureIngestPool(int num_threads) {
@@ -43,7 +45,7 @@ ThreadPool* Dess3System::EnsureIngestPool(int num_threads) {
         static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   }
   if (ingest_pool_ == nullptr || ingest_pool_->num_threads() != num_threads) {
-    ingest_pool_ = std::make_unique<ThreadPool>(num_threads);
+    ingest_pool_ = std::make_shared<ThreadPool>(num_threads);
   }
   return ingest_pool_.get();
 }
@@ -196,16 +198,17 @@ std::vector<SimilaritySpace> Dess3System::PublishedSpacesLocked() const {
   return spaces;
 }
 
-void Dess3System::PublishLocked(std::shared_ptr<const SystemSnapshot> next,
-                                bool is_full, size_t calibration_records,
+void Dess3System::PublishLocked(std::shared_ptr<const SystemSnapshot> serving,
+                                std::shared_ptr<const SystemSnapshot> base,
+                                size_t calibration_records,
                                 size_t base_records,
                                 size_t committed_records) {
-  const uint64_t epoch = next->epoch();
+  const uint64_t epoch = serving->epoch();
   {
     std::lock_guard<std::mutex> publish(snapshot_mu_);
-    snapshot_ = next;
+    snapshot_ = std::move(serving);
   }
-  if (is_full) base_snapshot_ = std::move(next);
+  base_snapshot_ = std::move(base);
   calibration_records_ = calibration_records;
   base_records_ = base_records;
   committed_records_ = committed_records;
@@ -244,8 +247,8 @@ Result<CommitReceipt> Dess3System::CommitLocked(
   // Lend the shared ingest pool (when one exists) to the index builds so
   // parallel-build backends (HNSW) construct at ingest-pool width. The
   // engine drops the borrowed pointer after BuildIndexes, and backend
-  // builds never call ThreadPool::Wait, so the loan is safe even from a
-  // task running on that same pool (background compaction).
+  // builds never call ThreadPool::Wait, so a fold building beside this
+  // commit may borrow the same pool.
   SearchEngineOptions search = options_.search;
   search.build_pool = ingest_pool_.get();
   if (mode == CommitMode::kDelta) {
@@ -283,8 +286,10 @@ Result<CommitReceipt> Dess3System::CommitLocked(
     stat_wal_sequence_.store(wal_->last_sequence(),
                              std::memory_order_relaxed);
   }
-  PublishLocked(std::move(next), mode == CommitMode::kFull, new_calibration,
-                new_base, total);
+  std::shared_ptr<const SystemSnapshot> base =
+      mode == CommitMode::kFull ? next : base_snapshot_;
+  PublishLocked(std::move(next), std::move(base), new_calibration, new_base,
+                total);
   ++next_epoch_;
   dirty_ = false;
   if (mode == CommitMode::kFull && wal_ != nullptr) {
@@ -306,7 +311,7 @@ Result<CommitReceipt> Dess3System::CommitLocked(
 
 void Dess3System::MaybeScheduleCompactionLocked() {
   if (options_.compaction_min_delta_records == 0) return;  // disabled
-  if (compaction_scheduled_) return;
+  if (compaction_scheduled_ || closing_) return;
   const size_t delta = committed_records_ - base_records_;
   if (delta < options_.compaction_min_delta_records) return;
   if (static_cast<double>(delta) <
@@ -314,35 +319,77 @@ void Dess3System::MaybeScheduleCompactionLocked() {
     return;
   }
   compaction_scheduled_ = true;
-  EnsureIngestPool(ingest_pool_ != nullptr ? ingest_pool_->num_threads() : 0)
-      ->Schedule([this] { CompactDelta(); });
+  if (compactor_ == nullptr) compactor_ = std::make_unique<ThreadPool>(1);
+  compactor_->Schedule([this] { CompactDelta(); });
 }
 
 void Dess3System::CompactDelta() {
+  // Fold the committed records into full per-space indexes (and refreshed
+  // browsing hierarchies) under the published calibration: bit-identical
+  // answers, records only move from the linear-scan side structures into
+  // real indexes. No WAL marker is written; the last marker already
+  // describes the published state and recovery reproduces it.
+  std::shared_ptr<const ShapeDatabase> view;
+  std::shared_ptr<const SystemSnapshot> base;
+  std::vector<SimilaritySpace> spaces;
+  std::shared_ptr<ThreadPool> pool;
+  uint64_t epoch = 0;
+  size_t folded_records = 0;
+  {
+    std::lock_guard<std::mutex> lock(ingest_mu_);
+    if (closing_ || committed_records_ == base_records_) {
+      compaction_scheduled_ = false;
+      return;
+    }
+    folded_records = committed_records_;
+    view = db_.PrefixView(folded_records);
+    base = base_snapshot_;
+    spaces = PublishedSpacesLocked();
+    epoch = PublishedEpoch();
+    if (ingest_pool_ == nullptr) EnsureIngestPool(0);
+    pool = ingest_pool_;
+  }
+  // The build, without the writer lock: ingests and commits proceed over
+  // the old base meanwhile. The shared pool stays alive for the build even
+  // if a writer replaces it.
+  Result<std::shared_ptr<const SystemSnapshot>> folded = [&] {
+    DESS_TIMED_SCOPE("system.compact_delta");
+    SearchEngineOptions search = options_.search;
+    search.build_pool = pool.get();
+    return SystemSnapshot::BuildWithSpaces(std::move(view), epoch, search,
+                                           options_.hierarchy,
+                                           std::move(spaces));
+  }();
+  pool.reset();  // joins a replaced pool here, not under the lock
+
   std::lock_guard<std::mutex> lock(ingest_mu_);
   compaction_scheduled_ = false;
-  if (committed_records_ == base_records_) return;  // already folded
-  DESS_TIMED_SCOPE("system.compact_delta");
-  // Fold the committed records into full per-space indexes under the
-  // published calibration: same epoch, bit-identical answers — records
-  // only move from the linear-scan side structures into real indexes (and
-  // into refreshed browsing hierarchies). No WAL marker is written; the
-  // last marker already describes this state and recovery reproduces it.
-  SearchEngineOptions search = options_.search;
-  search.build_pool = ingest_pool_.get();
-  Result<std::shared_ptr<const SystemSnapshot>> next =
-      SystemSnapshot::BuildWithSpaces(
-          db_.PrefixView(committed_records_), PublishedEpoch(),
-          search, options_.hierarchy, PublishedSpacesLocked());
-  if (!next.ok()) {
-    DESS_LOG(Error) << "background compaction failed: "
-                    << next.status().ToString();
-    return;
+  const uint64_t published = PublishedEpoch();
+  Result<std::shared_ptr<const SystemSnapshot>> serving = folded;
+  if (folded.ok() && base_snapshot_ == base && published != epoch) {
+    // Delta commits landed during the build: layer what they published
+    // over the folded base, in O(delta) like each of them.
+    serving = SystemSnapshot::LayerDelta(
+        *folded, db_.PrefixView(committed_records_), published);
   }
-  PublishLocked(std::move(next).value(), /*is_full=*/true,
-                calibration_records_, committed_records_,
-                committed_records_);
-  MetricsRegistry::Global()->AddCounter("system.compactions");
+  if (!serving.ok()) {
+    DESS_LOG(Error) << "background compaction failed: "
+                    << serving.status().ToString();
+    return;  // the next delta commit schedules another fold
+  }
+  MetricsRegistry* registry = MetricsRegistry::Global();
+  if (base_snapshot_ != base) {
+    // A full commit landed during the build and covers at least as much.
+    registry->AddCounter("system.compactions_superseded");
+  } else {
+    registry->AddCounter("system.compaction_relayered_records",
+                         committed_records_ - folded_records);
+    PublishLocked(std::move(serving).value(), std::move(folded).value(),
+                  calibration_records_, folded_records, committed_records_);
+    registry->AddCounter("system.compactions");
+  }
+  // The delta may have outgrown the thresholds during the build.
+  MaybeScheduleCompactionLocked();
 }
 
 bool Dess3System::IsCommitted() const {

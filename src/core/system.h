@@ -42,9 +42,11 @@ struct SystemOptions {
   /// least `compaction_min_delta_records` records in the side-index AND the
   /// side has grown past `compaction_delta_ratio` of the main indexes, a
   /// frozen-calibration fold of the committed records into full per-space
-  /// indexes is scheduled on the ingest pool. Compaction republishes the
-  /// same epoch with bit-identical answers; it only moves records from the
-  /// linear-scan side structures into the real indexes. Set
+  /// indexes is scheduled on the system's compaction thread. The fold
+  /// builds without the writer lock, so ingest and commit carry on
+  /// meanwhile, and publishes under a short hold of it: the same epoch
+  /// with bit-identical answers, with any records delta-committed during
+  /// the build layered over the folded indexes. Set
   /// `compaction_min_delta_records` to 0 to disable background compaction.
   size_t compaction_min_delta_records = 512;
   double compaction_delta_ratio = 0.10;
@@ -112,7 +114,9 @@ struct CommitReceipt {
 ///
 /// Concurrency model (snapshot isolation):
 ///  - Writers (Ingest*, Commit) are serialized by an internal mutex;
-///    concurrent ingest calls are safe but run one at a time.
+///    concurrent ingest calls are safe but run one at a time. Background
+///    compaction takes that mutex only to snapshot its inputs and to
+///    publish; its build runs beside the writers.
 ///  - Commit() builds the next snapshot while the current one keeps
 ///    serving, then publishes it with one pointer swap. It never waits for
 ///    in-flight queries.
@@ -289,18 +293,25 @@ class Dess3System {
   /// Commit body; caller must hold ingest_mu_.
   Result<CommitReceipt> CommitLocked(const CommitOptions& options);
 
-  /// Publishes `next` (snapshot_mu_ swap) and refreshes the bookkeeping
-  /// counters/gauges. Caller must hold ingest_mu_.
-  void PublishLocked(std::shared_ptr<const SystemSnapshot> next,
-                     bool is_full, size_t calibration_records,
-                     size_t base_records, size_t committed_records);
+  /// Publishes `serving` (snapshot_mu_ swap) over the full snapshot
+  /// `base` (`serving` itself unless it is layered) and refreshes the
+  /// bookkeeping counters/gauges. Caller must hold ingest_mu_.
+  void PublishLocked(std::shared_ptr<const SystemSnapshot> serving,
+                     std::shared_ptr<const SystemSnapshot> base,
+                     size_t calibration_records, size_t base_records,
+                     size_t committed_records);
 
   /// Schedules a background frozen-calibration fold of the committed
-  /// records when the delta side-index has outgrown the thresholds in
-  /// SystemOptions. Caller must hold ingest_mu_.
+  /// records on the compaction thread when the delta side-index has
+  /// outgrown the thresholds in SystemOptions. Caller must hold ingest_mu_.
   void MaybeScheduleCompactionLocked();
 
-  /// The body of the background compaction task.
+  /// The background fold: takes the committed prefix, the base snapshot,
+  /// its calibration and the published epoch under ingest_mu_, builds the
+  /// folded snapshot without the lock, and publishes it under the lock
+  /// again. A full commit that landed during the build supersedes the
+  /// fold (its result is dropped); delta commits that landed are layered
+  /// over the folded base at the epoch they published.
   void CompactDelta();
 
   /// Copies the published calibration out of `base_snapshot_`'s engine.
@@ -314,7 +325,9 @@ class Dess3System {
   ShapeDatabase db_;            // guarded by ingest_mu_
   bool dirty_ = false;          // ingest since last publish; ingest_mu_
   uint64_t next_epoch_ = 1;     // guarded by ingest_mu_
-  std::unique_ptr<ThreadPool> ingest_pool_;  // guarded by ingest_mu_
+  /// Guarded by ingest_mu_. Shared so a fold's index build keeps the pool
+  /// it borrowed alive when a writer replaces it meanwhile.
+  std::shared_ptr<ThreadPool> ingest_pool_;
 
   /// Durable home (Open); both empty/null on an in-memory system. The WAL
   /// is guarded by ingest_mu_ like every other writer-side member.
@@ -328,7 +341,14 @@ class Dess3System {
   size_t committed_records_ = 0;    // records the published snapshot serves
   size_t base_records_ = 0;         // records the main indexes cover
   size_t calibration_records_ = 0;  // records the spaces calibrated over
-  bool compaction_scheduled_ = false;
+  bool compaction_scheduled_ = false;  // set from schedule to publish
+  /// Set by the destructor: no fold is scheduled after it, and a queued
+  /// one returns at once. Guarded by ingest_mu_.
+  bool closing_ = false;
+  /// One worker that runs the background folds. Created by the first
+  /// schedule (under ingest_mu_) and joined by the destructor outside it,
+  /// since a fold takes ingest_mu_ to publish.
+  std::unique_ptr<ThreadPool> compactor_;
 
   /// Guards only the published-snapshot pointer swap; held for a pointer
   /// copy on the read side, never across query execution.

@@ -3,19 +3,27 @@
 // mode bit-identically to a frozen-calibration full rebuild of the same
 // records; receipts describe what each publish covered; background
 // compaction folds the side-index away without changing the epoch or any
-// answer; and a durable home (Dess3System::Open) round-trips the whole
-// state through the WAL.
+// answer, builds beside the writers instead of blocking them, and yields to
+// a full commit that lands first; and a durable home (Dess3System::Open)
+// round-trips the whole state through the WAL.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/core/system.h"
 #include "src/index/index_backend.h"
+#include "src/modelgen/marching_cubes.h"
+#include "src/modelgen/part_families.h"
 #include "src/search/combined.h"
 #include "src/search/relevance_feedback.h"
 #include "tests/test_util.h"
@@ -29,6 +37,143 @@ SystemOptions FastSystemOptions() {
   SystemOptions opt;
   opt.hierarchy.max_leaf_size = 4;
   return opt;
+}
+
+/// How long a test waits for background work before declaring it stuck.
+constexpr std::chrono::seconds kPatience(30);
+
+/// Ends the test binary, rather than hanging ctest, when the scope it
+/// guards outlives kPatience: a deadlocked writer can be neither joined
+/// nor destroyed.
+class Watchdog {
+ public:
+  explicit Watchdog(const char* what)
+      : thread_([this, what] {
+          std::unique_lock<std::mutex> lock(mu_);
+          if (!cv_.wait_for(lock, kPatience, [this] { return done_; })) {
+            std::fprintf(stderr, "watchdog: %s did not finish in %llds\n",
+                         what, static_cast<long long>(kPatience.count()));
+            std::_Exit(EXIT_FAILURE);
+          }
+        }) {}
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;  // last: starts once the members above exist
+};
+
+/// Holds a background fold mid-build without a library hook. The
+/// "latched_scan" backend (LatchedOptions) builds like linear_scan, but
+/// while the latch is armed an index build off the arming thread blocks
+/// until Release(); the arming (test) thread's own commits build freely.
+/// The latch lets go by itself after kPatience, so a writer stuck behind a
+/// held fold fails its test instead of hanging it.
+class BuildLatch {
+ public:
+  BuildLatch() = default;
+  BuildLatch(const BuildLatch&) = delete;
+  BuildLatch& operator=(const BuildLatch&) = delete;
+  ~BuildLatch() {
+    Release();
+    if (expiry_.joinable()) expiry_.join();
+  }
+
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    owner_ = std::this_thread::get_id();
+    armed_ = true;
+    expiry_ = std::thread([this] {
+      std::unique_lock<std::mutex> expiry(mu_);
+      cv_.wait_for(expiry, kPatience, [this] { return !armed_; });
+      armed_ = false;
+      cv_.notify_all();
+    });
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      armed_ = false;
+    }
+    cv_.notify_all();
+  }
+
+  /// True while builds off the arming thread are still held.
+  bool Held() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return armed_;
+  }
+
+  /// Waits until some build has blocked on the latch.
+  bool WaitBlocked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, kPatience, [this] { return blocked_; });
+  }
+
+  /// The backend factory's gate.
+  void Pass() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!armed_ || std::this_thread::get_id() == owner_) return;
+    blocked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return !armed_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::thread::id owner_;
+  bool armed_ = false;
+  bool blocked_ = false;
+  std::thread expiry_;
+};
+
+/// FastSystemOptions with every space indexed by "latched_scan".
+SystemOptions LatchedOptions(const std::shared_ptr<BuildLatch>& latch) {
+  auto linear_scan = BuiltInIndexBackends()->Resolve(kLinearScanBackendId);
+  DESS_CHECK(linear_scan.ok());
+  IndexBackendDef def = **linear_scan;
+  def.id = "latched_scan";
+  auto build = def.factory;
+  def.factory = [latch, build](const IndexBuildContext& ctx) {
+    latch->Pass();
+    return build(ctx);
+  };
+  auto backends = std::make_shared<IndexBackendRegistry>();
+  DESS_CHECK(backends->Register(def).ok());
+  SystemOptions options = FastSystemOptions();
+  options.search.index_backend = def.id;
+  options.search.index_backends = std::move(backends);
+  return options;
+}
+
+uint64_t Counter(const std::string& name) {
+  for (const CounterSample& c : MetricsRegistry::Global()->Snapshot().counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
+/// Polls a counter until it reaches `want`; false after kPatience.
+bool WaitForCounter(const std::string& name, uint64_t want) {
+  const auto deadline = std::chrono::steady_clock::now() + kPatience;
+  while (Counter(name) < want) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
 }
 
 /// Exact (bitwise) equality of two result lists, with a readable diff.
@@ -309,6 +454,169 @@ TEST_F(IncrementalCommitTest, LayeredSnapshotReusesBaseHierarchies) {
   }
 }
 
+TEST_F(IncrementalCommitTest, WritersCommitWhileAFoldBuilds) {
+  auto latch = std::make_shared<BuildLatch>();
+  SystemOptions options = LatchedOptions(latch);
+  options.compaction_min_delta_records = 4;
+  options.compaction_delta_ratio = 0.0;
+  Dess3System system(options);
+  const size_t total = all_.NumShapes();
+  const size_t folded = total - 2;  // the two left over stay below 4
+  ASSERT_GE(folded, kBase + 4);
+  IngestRange(&system, 0, kBase);
+  ASSERT_TRUE(system.Commit().ok());
+  const uint64_t compactions = Counter("system.compactions");
+  const uint64_t relayered = Counter("system.compaction_relayered_records");
+
+  latch->Arm();
+  IngestRange(&system, kBase, folded);
+  ASSERT_TRUE(system.Commit(CommitOptions{.mode = CommitMode::kDelta}).ok());
+  ASSERT_TRUE(latch->WaitBlocked()) << "no fold started building";
+
+  // The fold is held mid-build; the writer must not wait for it.
+  IngestRange(&system, folded, total);
+  auto last = system.Commit(CommitOptions{.mode = CommitMode::kDelta});
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_TRUE(latch->Held()) << "Ingest/Commit waited for the fold's build";
+  latch->Release();
+
+  ASSERT_TRUE(WaitForCounter("system.compactions", compactions + 1));
+  auto served = system.CurrentSnapshot();
+  ASSERT_TRUE(served.ok());
+  // The folded base covers the fold's prefix (its hierarchies too), the
+  // records committed during the build are layered over it, and the epoch
+  // is the last delta commit's.
+  EXPECT_EQ((*served)->NumDeltaRecords(), total - folded);
+  EXPECT_EQ((*served)->Hierarchy(FeatureKind::kPrincipalMoments)
+                .members.size(),
+            folded);
+  EXPECT_EQ((*served)->epoch(), last->epoch);
+  EXPECT_EQ(system.PublishedEpoch(), last->epoch);
+  EXPECT_EQ(Counter("system.compaction_relayered_records"),
+            relayered + (total - folded));
+
+  auto full = system.Commit(
+      CommitOptions{.mode = CommitMode::kFull, .recalibrate = false});
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  auto rebuilt = system.CurrentSnapshot();
+  ASSERT_TRUE(rebuilt.ok());
+  // A base record, a folded record and a relayered record.
+  ExpectBitIdenticalAcrossAllModes(
+      **served, **rebuilt,
+      {0, static_cast<int>(kBase), static_cast<int>(total) - 1});
+}
+
+TEST_F(IncrementalCommitTest, FoldReschedulesWhenTheDeltaGrewDuringItsBuild) {
+  auto latch = std::make_shared<BuildLatch>();
+  SystemOptions options = LatchedOptions(latch);
+  options.compaction_min_delta_records = 1;
+  options.compaction_delta_ratio = 0.0;
+  Dess3System system(options);
+  IngestRange(&system, 0, kBase);
+  ASSERT_TRUE(system.Commit().ok());
+  const uint64_t compactions = Counter("system.compactions");
+
+  latch->Arm();
+  IngestRange(&system, kBase, kBase + 2);
+  ASSERT_TRUE(system.Commit(CommitOptions{.mode = CommitMode::kDelta}).ok());
+  ASSERT_TRUE(latch->WaitBlocked()) << "no fold started building";
+  IngestRange(&system, kBase + 2, all_.NumShapes());
+  auto last = system.Commit(CommitOptions{.mode = CommitMode::kDelta});
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  latch->Release();
+
+  // The first fold layers the late records over its base and schedules a
+  // second fold, which folds them too.
+  const std::shared_ptr<const SystemSnapshot> compacted = WaitForFold(system);
+  ASSERT_NE(compacted, nullptr) << "the late records were never folded";
+  EXPECT_EQ(compacted->epoch(), last->epoch);
+  EXPECT_EQ(compacted->db().NumShapes(), all_.NumShapes());
+  EXPECT_TRUE(WaitForCounter("system.compactions", compactions + 2));
+}
+
+TEST_F(IncrementalCommitTest, FullCommitDuringAFoldSupersedesIt) {
+  auto latch = std::make_shared<BuildLatch>();
+  SystemOptions options = LatchedOptions(latch);
+  options.compaction_min_delta_records = 1;
+  options.compaction_delta_ratio = 0.0;
+  Dess3System system(options);
+  IngestRange(&system, 0, kBase);
+  ASSERT_TRUE(system.Commit().ok());
+  const uint64_t compactions = Counter("system.compactions");
+  const uint64_t superseded = Counter("system.compactions_superseded");
+
+  latch->Arm();
+  IngestRange(&system, kBase, kBase + 3);
+  ASSERT_TRUE(system.Commit(CommitOptions{.mode = CommitMode::kDelta}).ok());
+  ASSERT_TRUE(latch->WaitBlocked()) << "no fold started building";
+  IngestRange(&system, kBase + 3, all_.NumShapes());
+  auto full = system.Commit();
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_TRUE(latch->Held()) << "the full commit waited for the fold's build";
+  latch->Release();
+
+  // The fold finishes after the full commit: its result is dropped and
+  // counted, and the full commit's snapshot keeps serving.
+  ASSERT_TRUE(
+      WaitForCounter("system.compactions_superseded", superseded + 1));
+  EXPECT_EQ(Counter("system.compactions"), compactions);
+  auto served = system.CurrentSnapshot();
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ((*served)->epoch(), full->epoch);
+  EXPECT_EQ((*served)->NumDeltaRecords(), 0u);
+  EXPECT_EQ((*served)->db().NumShapes(), all_.NumShapes());
+}
+
+TEST_F(IncrementalCommitTest, DestroyingTheSystemWaitsForALatchedFold) {
+  auto latch = std::make_shared<BuildLatch>();
+  SystemOptions options = LatchedOptions(latch);
+  options.compaction_min_delta_records = 1;
+  options.compaction_delta_ratio = 0.0;
+  auto system = std::make_unique<Dess3System>(options);
+  IngestRange(system.get(), 0, kBase);
+  ASSERT_TRUE(system->Commit().ok());
+  latch->Arm();
+  IngestRange(system.get(), kBase, all_.NumShapes());
+  ASSERT_TRUE(
+      system->Commit(CommitOptions{.mode = CommitMode::kDelta}).ok());
+  ASSERT_TRUE(latch->WaitBlocked()) << "no fold started building";
+
+  Watchdog watchdog("destroying the system during a fold");
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    latch->Release();
+  });
+  system.reset();  // joins the fold once the releaser lets it finish
+  releaser.join();
+}
+
+TEST_F(IncrementalCommitTest, ReplacingTheIngestPoolBesideAFoldDoesNotDeadlock) {
+  // A writer that resizes the ingest pool joins the old pool's workers
+  // under the writer lock; no fold may be one of them, waiting for that
+  // lock.
+  SystemOptions options = FastSystemOptions();
+  options.extraction.voxelization.resolution = 20;
+  options.compaction_min_delta_records = 1;
+  options.compaction_delta_ratio = 0.0;
+  Dess3System system(options);
+  Rng rng(3);
+  auto mesh = MeshSolid(*StandardPartFamilies()[0].build(&rng),
+                        {.resolution = 28});
+  ASSERT_TRUE(mesh.ok()) << mesh.status().ToString();
+  Watchdog watchdog("an ingest beside a fold");
+  // Width 3 first, so the resize below happens on any host.
+  ASSERT_TRUE(
+      system.IngestMesh(*mesh, "wide", kUngrouped, {.num_threads = 3}).ok());
+  IngestRange(&system, 0, kBase);
+  ASSERT_TRUE(system.Commit().ok());
+  IngestRange(&system, kBase, kBase + 6);
+  ASSERT_TRUE(system.Commit(CommitOptions{.mode = CommitMode::kDelta}).ok());
+  ASSERT_TRUE(
+      system.IngestMesh(*mesh, "narrow", kUngrouped, {.num_threads = 2})
+          .ok());
+  EXPECT_EQ(system.db().NumShapes(), kBase + 8);
+}
+
 class DurableHomeTest : public IncrementalCommitTest {
  protected:
   void SetUp() override {
@@ -465,6 +773,67 @@ TEST_F(DurableHomeTest, FoldAfterReopenKeepsTheCheckpointCalibration) {
         before[i++],
         (*reopened)->QueryByShapeId(0, QueryRequest::TopK(kind, 8)),
         "recovered topk " + std::string(FeatureKindName(kind)));
+  }
+}
+
+TEST_F(DurableHomeTest, MarkersWrittenBesideAFoldRecoverBitIdentically) {
+  // A fold writes no marker. Delta commits that land during its build
+  // write markers naming the old base, those after its publish name the
+  // folded one; recovery rebuilds either split to the same answers.
+  for (const bool commit_after_fold : {false, true}) {
+    SCOPED_TRACE(commit_after_fold ? "last marker after the fold"
+                                   : "last marker during the fold");
+    fs::remove_all(dir_);
+    auto latch = std::make_shared<BuildLatch>();
+    SystemOptions options = LatchedOptions(latch);
+    options.compaction_min_delta_records = 4;
+    options.compaction_delta_ratio = 0.0;
+    const size_t committed = kBase + (commit_after_fold ? 8 : 7);
+    std::vector<Result<QueryResponse>> before;
+    uint64_t epoch = 0;
+    {
+      auto system = Dess3System::Open(dir_, {}, options);
+      ASSERT_TRUE(system.ok()) << system.status().ToString();
+      IngestRange(system->get(), 0, kBase);
+      ASSERT_TRUE((*system)->Commit().ok());
+      const uint64_t compactions = Counter("system.compactions");
+      latch->Arm();
+      IngestRange(system->get(), kBase, kBase + 6);
+      ASSERT_TRUE(
+          (*system)->Commit(CommitOptions{.mode = CommitMode::kDelta}).ok());
+      ASSERT_TRUE(latch->WaitBlocked()) << "no fold started building";
+      for (size_t end = kBase + 7; end <= committed; ++end) {
+        IngestRange(system->get(), end - 1, end);
+        auto delta =
+            (*system)->Commit(CommitOptions{.mode = CommitMode::kDelta});
+        ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+        epoch = delta->epoch;
+        if (end == kBase + 7) {
+          latch->Release();
+          ASSERT_TRUE(WaitForCounter("system.compactions", compactions + 1));
+        }
+      }
+      for (FeatureKind kind : AllFeatureKinds()) {
+        for (const int id : {0, static_cast<int>(committed) - 1}) {
+          before.push_back(
+              (*system)->QueryByShapeId(id, QueryRequest::TopK(kind, 8)));
+        }
+      }
+    }
+
+    auto reopened = Dess3System::Open(dir_, {}, options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ((*reopened)->PublishedEpoch(), epoch);
+    EXPECT_EQ((*reopened)->PendingRecords(), 0u);
+    size_t i = 0;
+    for (FeatureKind kind : AllFeatureKinds()) {
+      for (const int id : {0, static_cast<int>(committed) - 1}) {
+        ExpectSameResponses(
+            before[i++],
+            (*reopened)->QueryByShapeId(id, QueryRequest::TopK(kind, 8)),
+            "recovered topk " + std::string(FeatureKindName(kind)));
+      }
+    }
   }
 }
 
